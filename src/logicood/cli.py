@@ -226,12 +226,21 @@ def cmd_eval(args) -> int:
         )
     scores = np.empty(len(rows))
     for i, row in enumerate(rows):
+        if len(row) != 2:
+            raise ValidationError(
+                f"{args.scores}: row {i + 2} has {len(row)} cells, expected 2"
+            )
         if row[0] != data.sample_ids[i]:
             raise ValidationError(
                 f"{args.scores}: row {i + 2} id {row[0]!r} does not match "
                 f"dataset id {data.sample_ids[i]!r}"
             )
-        scores[i] = float(row[1])
+        try:
+            scores[i] = float(row[1])
+        except ValueError:
+            raise ValidationError(
+                f"{args.scores}: row {i + 2}: non-numeric score {row[1]!r}"
+            ) from None
     result = metrics.evaluate_scores(data, scores)
     _atomic_write(args.out, _json_text(result.to_json_dict()))
     _log(
@@ -326,7 +335,12 @@ def _add_fit_flags(p):
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--init-weight", type=float, default=-1.0)
-    p.add_argument("--space-cap", type=int, default=mln.DEFAULT_SPACE_CAP)
+    p.add_argument(
+        "--space-cap",
+        type=int,
+        default=mln.DEFAULT_SPACE_CAP,
+        help="most worlds to enumerate, counted over the concepts the KB mentions",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,10 +414,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_connectives(argv):
+    """Rewrite `--connectives VALUE` as `--connectives=VALUE`: argparse
+    reads a separate value that starts with '-', such as "->,xor", as a
+    flag."""
+    joined, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--connectives" else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_connectives(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

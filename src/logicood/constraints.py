@@ -283,6 +283,11 @@ class CompiledConstraint:
                 raise CompileError("batch contains out-of-domain index")
         return _eval_batch(self.ast, self._atom_table(), rows).astype(np.int8)
 
+    @property
+    def concept_indices(self) -> frozenset[int]:
+        """Schema indices of the concepts this constraint mentions."""
+        return frozenset(ci for ci, _ in self._atoms.values())
+
     @cached_property
     def _atoms(self):
         return _resolve_atoms(self.ast, self.schema)

@@ -5,12 +5,16 @@ P(z) = exp(sum_i w_i * phi_i(z)) / Z, where phi_i(z) in {0, 1} indicates
 satisfaction of constraint i. The standalone outlier score
 -sum_i w_i * phi_i(z) needs no partition function and therefore works for
 arbitrarily large spaces; exact probabilities and maximum-likelihood weight
-fitting enumerate the space and are guarded by a configurable cap.
+fitting enumerate only the worlds of the concepts the knowledge base
+mentions, are guarded by a configurable cap on that count, and add
+log(product of the unmentioned domain sizes) to log Z: each unmentioned
+concept multiplies Z by its domain size.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,7 +23,7 @@ from scipy.special import logsumexp
 
 from .constraints import CompiledConstraint
 from .errors import NumericalError, SpaceCapError, ValidationError
-from .schema import Dataset, Schema, semantic_space_size
+from .schema import Dataset, Schema
 
 DEFAULT_SPACE_CAP = 1_000_000
 
@@ -52,7 +56,7 @@ class FitConfig:
     learning_rate: float = 0.01
     convergence_tol: float = 1e-9
     init_weight: float = -1.0
-    space_cap: int = DEFAULT_SPACE_CAP
+    space_cap: int = DEFAULT_SPACE_CAP  # worlds over the concepts the KB mentions
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -115,15 +119,24 @@ def explain(model: MlnModel, z) -> ScoreExplanation:
     return ScoreExplanation(total, tuple(entries))
 
 
-def enumerate_space(schema: Schema, space_cap: int = DEFAULT_SPACE_CAP) -> np.ndarray:
-    """All possible worlds as a (|Z|, n_concepts) matrix, lexicographic in
-    schema order."""
-    size = semantic_space_size(schema)
+def enumerate_space(
+    schema: Schema, space_cap: int = DEFAULT_SPACE_CAP, concepts=None
+) -> np.ndarray:
+    """All assignments to the given concepts (schema indices; default all)
+    as full-width index rows, lexicographic in the given order, with every
+    other column at index 0. The cap applies to the number of rows."""
+    concepts = range(len(schema)) if concepts is None else concepts
+    sizes = [schema.domain_sizes[ci] for ci in concepts]
+    size = math.prod(sizes)
     if size > space_cap:
-        raise SpaceCapError(f"semantic space {size} exceeds cap {space_cap}")
-    sizes = schema.domain_sizes
+        raise SpaceCapError(
+            f"semantic space of {len(sizes)} concepts: {size} exceeds cap {space_cap}"
+        )
+    worlds = np.zeros((size, len(schema)), dtype=np.int64)
     grids = np.meshgrid(*(np.arange(s) for s in sizes), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
+    for ci, grid in zip(concepts, grids):
+        worlds[:, ci] = grid.reshape(-1)
+    return worlds
 
 
 def satisfaction_matrix(model: MlnModel, rows: np.ndarray) -> np.ndarray:
@@ -135,11 +148,22 @@ def satisfaction_matrix(model: MlnModel, rows: np.ndarray) -> np.ndarray:
     ).astype(np.float64)
 
 
+def _mentioned_worlds(model: MlnModel, space_cap: int):
+    """The mentioned concepts (ascending schema indices), their enumerated
+    worlds, and log of the number of assignments to all other concepts."""
+    concepts = sorted({ci for c in model.constraints for ci in c.concept_indices})
+    worlds = enumerate_space(model.schema, space_cap, concepts)
+    sizes = model.schema.domain_sizes
+    free = math.prod(s for ci, s in enumerate(sizes) if ci not in concepts)
+    return concepts, worlds, math.log(free)
+
+
 def log_partition(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> float:
-    """log sum_z exp(sum_i w_i phi_i(z)), via log-sum-exp."""
-    worlds = enumerate_space(model.schema, space_cap)
+    """log sum_z exp(sum_i w_i phi_i(z)), via log-sum-exp over the mentioned
+    concepts' worlds plus the log count of the rest."""
+    _, worlds, log_free = _mentioned_worlds(model, space_cap)
     phi = satisfaction_matrix(model, worlds)
-    return float(logsumexp(phi @ model.weights))
+    return float(logsumexp(phi @ model.weights)) + log_free
 
 
 def log_prob(model: MlnModel, z, space_cap: int = DEFAULT_SPACE_CAP) -> float:
@@ -151,27 +175,40 @@ def log_prob(model: MlnModel, z, space_cap: int = DEFAULT_SPACE_CAP) -> float:
 class _SufficientStats:
     """Everything NLL needs after one pass over data and space."""
 
-    phi_worlds: np.ndarray  # (|Z|, M)
+    phi_worlds: np.ndarray  # (|mentioned worlds|, M)
     data_means: np.ndarray  # (M,) empirical satisfaction rates
+    log_free: float  # log Z over all worlds minus log Z over mentioned ones
 
     def nll(self, w: np.ndarray) -> float:
-        return float(logsumexp(self.phi_worlds @ w) - self.data_means @ w)
+        return float(logsumexp(self.phi_worlds @ w) + self.log_free - self.data_means @ w)
 
     def nll_grad(self, w: np.ndarray):
         energies = self.phi_worlds @ w
         log_z = logsumexp(energies)
+        # Normalized over the mentioned worlds: each unmentioned assignment
+        # repeats the same distribution, so the expectations are unchanged.
         probs = np.exp(energies - log_z)
         model_means = probs @ self.phi_worlds
-        return float(log_z - self.data_means @ w), model_means - self.data_means
+        return (
+            float(log_z + self.log_free - self.data_means @ w),
+            model_means - self.data_means,
+        )
 
 
 def _stats(model: MlnModel, data: Dataset, space_cap: int) -> _SufficientStats:
     if len(data) == 0:
         raise ValidationError("cannot fit on an empty dataset")
-    worlds = enumerate_space(model.schema, space_cap)
+    concepts, worlds, log_free = _mentioned_worlds(model, space_cap)
     phi_worlds = satisfaction_matrix(model, worlds)
-    phi_data = satisfaction_matrix(model, data.vectors)
-    return _SufficientStats(phi_worlds, phi_data.mean(axis=0))
+    # Counting data rows per mentioned world keeps every sum an exact
+    # integer, so the means equal satisfaction_matrix(data).mean(axis=0).
+    if concepts:
+        sizes = [model.schema.domain_sizes[ci] for ci in concepts]
+        codes = np.ravel_multi_index(tuple(data.vectors[:, concepts].T), sizes)
+    else:
+        codes = np.zeros(len(data), dtype=np.intp)
+    counts = np.bincount(codes, minlength=len(worlds))
+    return _SufficientStats(phi_worlds, counts @ phi_worlds / len(data), log_free)
 
 
 def nll_and_gradient(
@@ -180,7 +217,7 @@ def nll_and_gradient(
     """Average negative log-likelihood of the data and its weight gradient.
 
     Gradient component i is E_model[phi_i] - mean_data[phi_i], with the
-    model expectation computed exactly over the enumerated space.
+    model expectation computed exactly over the mentioned concepts' worlds.
     """
     stats = _stats(model, data, space_cap)
     return stats.nll_grad(model.weights)
@@ -254,7 +291,12 @@ def save_weights(model: MlnModel, path) -> None:
 def load_weights(path, constraints) -> np.ndarray:
     """Read a weights JSON file and check it lines up with the knowledge base."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}:{exc.lineno}: invalid JSON: {exc.msg} (column {exc.colno})"
+            ) from None
     if not isinstance(payload, list) or len(payload) != len(constraints):
         raise ValidationError(
             f"{path}: expected {len(constraints)} weight entries, got "
@@ -262,10 +304,19 @@ def load_weights(path, constraints) -> np.ndarray:
         )
     weights = np.empty(len(payload))
     for i, (entry, c) in enumerate(zip(payload, constraints)):
+        if not isinstance(entry, dict):
+            raise ValidationError(
+                f"{path}: entry {i} is {type(entry).__name__}, expected an object"
+            )
         if entry.get("constraint") != c.source:
             raise ValidationError(
                 f"{path}: entry {i} is for {entry.get('constraint')!r}, "
                 f"knowledge base has {c.source!r}"
             )
-        weights[i] = float(entry["weight"])
+        weight = entry.get("weight")
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise ValidationError(
+                f"{path}: entry {i}: weight must be a number, got {weight!r}"
+            )
+        weights[i] = weight
     return weights

@@ -77,6 +77,8 @@ def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePoo
     names = config.concepts if config.concepts is not None else schema.names
     if not names:
         raise ValidationError("empty concept selection")
+    if len(set(names)) != len(names):
+        raise ValidationError("duplicate concept in selection")
     for name in names:
         if not schema.is_binary(name):
             raise ValidationError(
@@ -94,16 +96,13 @@ def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePoo
 
     # Truth tables over the selected concepts only keep dedup cheap even
     # when the full schema space is large.
-    sub_schema = Schema(
-        tuple((name, schema.domain(name)) for name in names)
-    )
-    worlds = enumerate_space(sub_schema)
+    worlds = enumerate_space(schema, concepts=[schema.concept_index(n) for n in names])
 
     pool: list[Node] = []
     seen: set[bytes] = set()
 
     def add(ast: Node) -> None:
-        sig = _truth_signature(ast, sub_schema, worlds)
+        sig = _truth_signature(ast, schema, worlds)
         if sig not in seen:
             seen.add(sig)
             pool.append(ast)

@@ -231,3 +231,74 @@ def test_eval_id_mismatch(tmp_path, workdir):
         "--scores", workdir / "scores.csv", "--out", workdir / "r.json",
     )
     assert code == 2
+
+
+def _write_weights(workdir, text):
+    path = workdir / "w.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[{"constraint": "is_octagon", "weight": 1.0', "w.json:1: invalid JSON"),
+        ('[1.0, 2.0]', "entry 0 is float, expected an object"),
+        ('[{"constraint": "color=red -> is_octagon"}, {"constraint": "is_octagon", "weight": 1}]',
+         "entry 0: weight must be a number, got None"),
+        ('[{"constraint": "color=red -> is_octagon", "weight": 1}, {"constraint": "is_octagon", "weight": "x"}]',
+         "entry 1: weight must be a number, got 'x'"),
+    ],
+    ids=["malformed-json", "non-object-entry", "missing-weight", "non-numeric-weight"],
+)
+def test_score_bad_weights_file_exit_code(workdir, capsys, text, message):
+    weights = _write_weights(workdir, text)
+    code = run(
+        "score", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--weights", weights, "--data", workdir / "train.csv", "--out", workdir / "s.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and str(weights) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("a,1.0\nb,high\n", "scores.csv: row 3: non-numeric score 'high'"),
+        ("a,1.0\nb\n", "scores.csv: row 3 has 1 cells, expected 2"),
+    ],
+    ids=["non-numeric-score", "short-row"],
+)
+def test_eval_bad_score_row(workdir, capsys, rows, message):
+    (workdir / "labeled.csv").write_text(
+        "__id,color,is_octagon,__is_ood\na,red,true,0\nb,blue,false,1\n",
+        encoding="utf-8",
+    )
+    (workdir / "scores.csv").write_text("__id,score\n" + rows, encoding="utf-8")
+    code = run(
+        "eval", "--schema", workdir / "schema.json", "--data", workdir / "labeled.csv",
+        "--scores", workdir / "scores.csv", "--out", workdir / "r.json",
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_search_connectives_separate_value(tmp_path):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run("synth", "--config", config, "--out-dir", out) == 0
+    reports = []
+    for form in (["--connectives", "->,xor"], ["--connectives=->,xor"]):
+        report = tmp_path / f"report{len(reports)}.json"
+        code = run(
+            "search", "--schema", out / "schema.json", "--train", out / "data.csv",
+            "--val", out / "data.csv", "--out", report, "--concepts", "c0,c1,c2",
+            *form,
+        )
+        assert code == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert b"xor" in reports[0] and b"->" in reports[0]

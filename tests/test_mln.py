@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from conftest import random_schema, random_vectors
+from conftest import random_ast, random_schema, random_vectors
+from logicood import mln
 from logicood.constraints import compile_constraint, compile_source
 from logicood.errors import SpaceCapError, ValidationError
 from logicood.mln import (
@@ -17,8 +20,9 @@ from logicood.mln import (
     mln_score,
     mln_score_batch,
     nll_and_gradient,
+    satisfaction_matrix,
 )
-from logicood.schema import Dataset, Schema
+from logicood.schema import Dataset, Schema, semantic_space_size
 
 BIN2 = Schema((("p", ("false", "true")), ("q", ("false", "true"))))
 
@@ -34,8 +38,6 @@ def dataset(schema, vectors):
 
 
 def random_model(rng, max_concepts=4, max_constraints=6):
-    from conftest import random_ast
-
     schema = random_schema(rng, max_concepts=max_concepts)
     n = int(rng.integers(1, max_constraints + 1))
     constraints = tuple(
@@ -103,6 +105,14 @@ def test_enumerate_space_cap():
     schema = Schema((("a", ("x", "y", "z")), ("b", ("f", "t"))))
     with pytest.raises(SpaceCapError, match="6 exceeds cap 4"):
         enumerate_space(schema, space_cap=4)
+
+
+def test_enumerate_space_subset_order_and_cap():
+    schema = Schema((("a", ("x", "y", "z")), ("b", ("f", "t")), ("c", ("f", "t"))))
+    worlds = enumerate_space(schema, space_cap=4, concepts=[2, 1])
+    assert worlds.tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]]
+    with pytest.raises(SpaceCapError, match="3 exceeds cap 2"):
+        enumerate_space(schema, space_cap=2, concepts=[0])
 
 
 def test_log_partition_two_worlds():
@@ -199,6 +209,81 @@ def test_nll_empty_dataset():
         nll_and_gradient(m, dataset(BIN2, np.zeros((0, 2))))
 
 
+def partial_kb_model(rng):
+    """Random model whose KB leaves some schema concepts unmentioned."""
+    schema = random_schema(rng, max_concepts=6)
+    keep = sorted(rng.choice(len(schema), size=int(rng.integers(1, len(schema) + 1)), replace=False))
+    sub = Schema(tuple(schema.concepts[i] for i in keep))
+    n = int(rng.integers(1, 5))
+    constraints = tuple(
+        compile_constraint(random_ast(rng, sub, max_depth=4), schema, constraint_id=i)
+        for i in range(n)
+    )
+    return MlnModel(schema, constraints, rng.normal(scale=1.5, size=n))
+
+
+def full_space_nll_and_gradient(m, data):
+    """NLL and gradient by enumerating every world of the schema."""
+    worlds = np.array(list(itertools.product(*(range(s) for s in m.schema.domain_sizes))))
+    phi = np.stack([c.evaluate_batch(worlds) for c in m.constraints], axis=1).astype(float)
+    energies = phi @ m.weights
+    log_z = logsumexp(energies)
+    data_means = satisfaction_matrix(m, data.vectors).mean(axis=0)
+    model_means = np.exp(energies - log_z) @ phi
+    return log_z, log_z - data_means @ m.weights, model_means - data_means
+
+
+def test_mentioned_inference_matches_full_enumeration(rng):
+    unmentioned = 0
+    for _ in range(40):
+        m = partial_kb_model(rng)
+        data = dataset(m.schema, random_vectors(rng, m.schema, 40))
+        log_z, nll, grad = full_space_nll_and_gradient(m, data)
+        assert log_partition(m) == pytest.approx(log_z, rel=1e-12)
+        got_nll, got_grad = nll_and_gradient(m, data)
+        assert got_nll == pytest.approx(nll, rel=1e-12)
+        np.testing.assert_allclose(got_grad, grad, rtol=1e-12, atol=1e-14)
+        mentioned = {ci for c in m.constraints for ci in c.concept_indices}
+        unmentioned += len(mentioned) < len(m.schema)
+    assert unmentioned >= 10  # the oracle covered the factored path
+
+
+def test_data_means_bit_identical(rng):
+    for _ in range(20):
+        m = partial_kb_model(rng)
+        data = dataset(m.schema, random_vectors(rng, m.schema, 200))
+        stats = mln._stats(m, data, mln.DEFAULT_SPACE_CAP)
+        expected = satisfaction_matrix(m, data.vectors).mean(axis=0)
+        assert np.array_equal(stats.data_means, expected)
+
+
+def test_empty_kb_log_partition_is_log_size(rng):
+    for _ in range(10):
+        schema = random_schema(rng)
+        m = MlnModel(schema, (), np.zeros(0))
+        assert log_partition(m) == math.log(semantic_space_size(schema))
+        data = dataset(schema, random_vectors(rng, schema, 5))
+        nll, grad = nll_and_gradient(m, data)
+        assert nll == math.log(semantic_space_size(schema))
+        assert grad.shape == (0,)
+
+
+def test_fit_beyond_full_space_cap_closed_form(rng):
+    # 2^25 worlds exceed the default cap; the KB mentions 4 concepts.
+    schema = Schema(tuple((f"c{i}", ("false", "true")) for i in range(25)))
+    assert semantic_space_size(schema) > mln.DEFAULT_SPACE_CAP
+    m = model(schema, ["c0 -> c1", "c2 xor c3"], [0.0, 0.0])
+    data = dataset(schema, random_vectors(rng, schema, 500))
+    fitted = fit_weights(m, data).model
+    w1, w2 = fitted.weights
+    closed = (
+        math.log(3 * math.exp(w1) + 1)
+        + math.log(2 * math.exp(w2) + 2)
+        + 21 * math.log(2)
+    )
+    assert log_partition(fitted) == pytest.approx(closed, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Fitting
 
@@ -245,7 +330,8 @@ def test_fit_degenerate_mle_capped():
 
 
 def test_fit_respects_space_cap():
-    m = model(BIN2, ["p"], [0.0])
+    # The cap counts worlds over the mentioned concepts: p -> q has 4.
+    m = model(BIN2, ["p -> q"], [0.0])
     data = dataset(BIN2, [[1, 1]])
     with pytest.raises(SpaceCapError):
         fit_weights(m, data, FitConfig(space_cap=2))

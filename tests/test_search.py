@@ -67,6 +67,30 @@ def test_pool_depth3_extends():
     assert any("->" in s and s.count("->") == 2 or "(" in s for s in pool3.sources())
 
 
+def test_pool_for_concept_subset_matches_sub_schema_pool():
+    # Unselected concepts, one of them non-binary, must not change the pool.
+    schema = schema_from_dict(
+        {"c0": "binary", "color": ["red", "blue", "white"], "c2": "binary",
+         "c3": "binary", "c4": "binary"}
+    )
+    names = ("c3", "c0", "c4")
+    sub = schema_from_dict({name: "binary" for name in names})
+    for depth in (2, 3):
+        connectives = ("->", "xor")
+        pool = generate_candidates(
+            schema, GeneratorConfig(max_depth=depth, connectives=connectives, concepts=names)
+        )
+        expected = generate_candidates(
+            sub, GeneratorConfig(max_depth=depth, connectives=connectives)
+        )
+        assert pool.candidates == expected.candidates
+
+
+def test_pool_rejects_duplicate_selection():
+    with pytest.raises(ValidationError, match="duplicate"):
+        generate_candidates(BIN2, GeneratorConfig(concepts=("p", "p")))
+
+
 def test_pool_rejects_non_binary():
     schema = schema_from_dict({"color": ["red", "blue", "white"]})
     with pytest.raises(ValidationError, match="not binary"):
