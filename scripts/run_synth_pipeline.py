@@ -22,7 +22,7 @@ from logicood.distributions import fit_distribution
 from logicood.fusion import FusedScorer, fuse_batch
 from logicood.metrics import evaluate_scores
 from logicood.mln import FitConfig, MlnModel, mln_score_batch
-from logicood.schema import Dataset, schema_from_dict, save_dataset
+from logicood.schema import schema_from_dict, save_dataset
 from logicood.search import GeneratorConfig, SearchConfig, generate_candidates, greedy_search
 from logicood.synth import DetectorSpec, SynthSpec, make_benchmark
 
@@ -39,17 +39,6 @@ def build_spec(schema, seed, n, detector_gap):
         {"location": detector_gap, "scale": 1.0, "shape": 0.0},
     )
     return SynthSpec(schema, truth, n_id=n, n_ood=n, seed=seed, detector=detector)
-
-
-def id_subset(data):
-    mask = ~data.is_ood
-    return Dataset(
-        data.schema,
-        data.vectors[mask],
-        tuple(np.asarray(data.sample_ids)[mask]),
-        data.detector_scores[mask],
-        data.is_ood[mask],
-    )
 
 
 def main(argv=None):

@@ -95,19 +95,6 @@ def _fit_config(args) -> mln.FitConfig:
     )
 
 
-def _id_rows(data):
-    if data.is_ood is None:
-        return data
-    keep = ~data.is_ood
-    return schema_mod.Dataset(
-        data.schema,
-        data.vectors[keep],
-        tuple(np.asarray(data.sample_ids, dtype=object)[keep]),
-        None if data.detector_scores is None else data.detector_scores[keep],
-        data.is_ood[keep],
-    )
-
-
 def _explanations_json(model, data) -> str:
     payload = []
     for i in range(len(data)):
@@ -149,7 +136,7 @@ def cmd_compile(args) -> int:
 def cmd_fit(args) -> int:
     sch = schema_mod.load_schema(args.schema)
     constraints = load_constraints(args.constraints, sch)
-    train = _id_rows(schema_mod.load_dataset(args.train, sch))
+    train = schema_mod.id_subset(schema_mod.load_dataset(args.train, sch))
     cfg = _fit_config(args)
     model = mln.MlnModel(sch, tuple(constraints), np.zeros(len(constraints)))
     _log(f"epoch 0: weights initialized to {cfg.init_weight}")
@@ -180,7 +167,7 @@ def cmd_score(args) -> int:
 def cmd_fuse(args) -> int:
     model = _load_model(args)
     data = schema_mod.load_dataset(args.data, model.schema)
-    reference = _id_rows(schema_mod.load_dataset(args.train, model.schema))
+    reference = schema_mod.id_subset(schema_mod.load_dataset(args.train, model.schema))
     family = FAMILY_FLAGS[args.family]
     if family == "none":
         dist = distributions.ScoreDistribution("none", {})
@@ -440,7 +427,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         _log(f"error: {exc}")
         return EXIT_DATA
     except LogicOodError as exc:

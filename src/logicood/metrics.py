@@ -57,6 +57,37 @@ def auroc(id_scores, ood_scores) -> float:
     return float(u / (n_id * n_ood))
 
 
+def auroc_from_counts(scores, id_counts, ood_counts) -> float:
+    """auroc over rows grouped by score: scores[k] is held by id_counts[k]
+    ID rows and ood_counts[k] OOD rows; equal scores may repeat.
+
+    Rank sums are kept as exact integers (twice each midrank), so the
+    result is bit-equal to auroc on the expanded rows.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    id_counts = np.asarray(id_counts, dtype=np.int64)
+    ood_counts = np.asarray(ood_counts, dtype=np.int64)
+    if scores.ndim != 1 or not scores.shape == id_counts.shape == ood_counts.shape:
+        raise ValidationError("scores and both count arrays must be 1-d of one length")
+    if np.any(id_counts < 0) or np.any(ood_counts < 0):
+        raise ValidationError("row counts must be >= 0")
+    n_id, n_ood = int(id_counts.sum()), int(ood_counts.sum())
+    if n_id == 0 or n_ood == 0:
+        raise ValidationError("both ID and OOD score lists must be non-empty")
+    if np.isnan(scores[id_counts + ood_counts > 0]).any():
+        return math.nan  # rankdata propagates NaN to every rank
+    order = np.argsort(scores, kind="stable")
+    scores = scores[order]
+    starts = np.flatnonzero(np.append(True, scores[1:] != scores[:-1]))
+    ood = np.add.reduceat(ood_counts[order], starts)
+    tied = np.add.reduceat(id_counts[order], starts) + ood
+    below = np.cumsum(tied) - tied
+    # Twice the midrank of a tie block is 2 * below + tied + 1.
+    twice_rank_sum = int(ood @ (2 * below + tied + 1))
+    u = twice_rank_sum / 2 - n_ood * (n_ood + 1) / 2.0
+    return float(u / (n_id * n_ood))
+
+
 def fpr_at_tpr(id_scores, ood_scores, tpr_target: float = 0.95) -> float:
     """FPR on ID at the largest threshold with TPR >= tpr_target on OOD."""
     if not 0.0 < tpr_target <= 1.0:

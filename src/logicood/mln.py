@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
 
 from .constraints import CompiledConstraint
 from .errors import NumericalError, SpaceCapError, ValidationError
@@ -158,12 +157,29 @@ def _mentioned_worlds(model: MlnModel, space_cap: int):
     return concepts, worlds, math.log(free)
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """scipy.special.logsumexp of a 1-d float array, bit for bit: the same
+    steps on the same (1,)-shaped intermediates, without the per-call cost
+    of scipy's array-API dispatch."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, keepdims=True, dtype=np.float64)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out[0]):
+            # scipy's fallback for infinite and NaN results.
+            out = np.log(np.sum(np.exp(a), keepdims=True))
+    return out[0]
+
+
 def log_partition(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> float:
     """log sum_z exp(sum_i w_i phi_i(z)), via log-sum-exp over the mentioned
     concepts' worlds plus the log count of the rest."""
     _, worlds, log_free = _mentioned_worlds(model, space_cap)
     phi = satisfaction_matrix(model, worlds)
-    return float(logsumexp(phi @ model.weights)) + log_free
+    return float(_logsumexp(phi @ model.weights)) + log_free
 
 
 def log_prob(model: MlnModel, z, space_cap: int = DEFAULT_SPACE_CAP) -> float:
@@ -180,11 +196,11 @@ class _SufficientStats:
     log_free: float  # log Z over all worlds minus log Z over mentioned ones
 
     def nll(self, w: np.ndarray) -> float:
-        return float(logsumexp(self.phi_worlds @ w) + self.log_free - self.data_means @ w)
+        return float(_logsumexp(self.phi_worlds @ w) + self.log_free - self.data_means @ w)
 
     def nll_grad(self, w: np.ndarray):
         energies = self.phi_worlds @ w
-        log_z = logsumexp(energies)
+        log_z = _logsumexp(energies)
         # Normalized over the mentioned worlds: each unmentioned assignment
         # repeats the same distribution, so the expectations are unchanged.
         probs = np.exp(energies - log_z)
@@ -248,8 +264,9 @@ def fit_weights(
     if not np.isfinite(history[0]):
         raise NumericalError("non-finite NLL at initialization")
 
-    def record(wk):
-        value = stats.nll(wk)
+    def record(intermediate_result):
+        # The NLL L-BFGS has just computed at the accepted point.
+        value = float(intermediate_result.fun)
         if not np.isfinite(value):
             raise NumericalError(
                 f"non-finite NLL at iteration {len(history)}"

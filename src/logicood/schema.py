@@ -128,6 +128,21 @@ class Dataset:
         return self.vectors.shape[0]
 
 
+def id_subset(data: Dataset) -> Dataset:
+    """The in-distribution rows: those not flagged OOD (all rows when the
+    dataset has no OOD column)."""
+    if data.is_ood is None:
+        return data
+    keep = ~data.is_ood
+    return Dataset(
+        data.schema,
+        data.vectors[keep],
+        tuple(np.asarray(data.sample_ids, dtype=object)[keep]),
+        None if data.detector_scores is None else data.detector_scores[keep],
+        data.is_ood[keep],
+    )
+
+
 def load_schema(path) -> Schema:
     """Read a schema JSON file: {"concept": ["v1", ...] | "binary", ...}."""
     with open(path, encoding="utf-8") as fh:

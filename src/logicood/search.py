@@ -29,9 +29,9 @@ from .constraints import (
     pretty,
 )
 from .errors import NumericalError, ValidationError
-from .metrics import auroc
-from .mln import FitConfig, MlnModel, enumerate_space, fit_weights, mln_score_batch
-from .schema import Dataset, Schema
+from .metrics import auroc_from_counts
+from .mln import FitConfig, MlnModel, enumerate_space, fit_weights
+from .schema import Dataset, Schema, id_subset
 
 _CONNECTIVES = {"->": Implies, "and": And, "or": Or, "xor": Xor}
 
@@ -185,65 +185,85 @@ class SearchResult:
         }
 
 
-def _id_subset(data: Dataset) -> Dataset:
-    if data.is_ood is None:
-        return data
-    keep = ~data.is_ood
-    return Dataset(
-        data.schema,
-        data.vectors[keep],
-        tuple(np.asarray(data.sample_ids, dtype=object)[keep]),
-        None if data.detector_scores is None else data.detector_scores[keep],
-        data.is_ood[keep],
-    )
+@dataclass(frozen=True)
+class _RowPatterns:
+    """Rows grouped by which working-set constraints they satisfy: row r
+    has pattern index[r], and bits[p, i] is 1 when pattern p satisfies
+    member i. Only patterns that some row has are kept, so there are never
+    more patterns than rows, whatever the working-set size."""
 
+    index: np.ndarray  # (n,) in [0, len(bits))
+    bits: np.ndarray  # (patterns, members) of 0/1
 
-def _val_auroc(model: MlnModel, val: Dataset) -> float:
-    scores = mln_score_batch(model, val.vectors)
-    return auroc(scores[~val.is_ood], scores[val.is_ood])
+    def extend(self, column: np.ndarray) -> "_RowPatterns":
+        """The patterns after appending one member with this 0/1 column."""
+        codes = 2 * self.index + column
+        present = np.flatnonzero(np.bincount(codes, minlength=2 * len(self.bits)))
+        compact = np.empty(2 * len(self.bits), dtype=np.intp)
+        compact[present] = np.arange(present.size)
+        bits = np.column_stack([self.bits[present >> 1], present & 1])
+        return _RowPatterns(compact[codes], bits)
+
+    def auroc(self, weights: np.ndarray, is_ood: np.ndarray) -> float:
+        """Validation AUROC of mln_score_batch with these member weights,
+        bit-equal to scoring every row: each pattern's score takes the same
+        knowledge-base-order steps as mln_score_batch does per row."""
+        counts = np.bincount(2 * self.index + is_ood, minlength=2 * len(self.bits))
+        table = np.zeros(len(self.bits))
+        for w, column in zip(weights, self.bits.T):
+            table -= w * column
+        return auroc_from_counts(table, counts[0::2], counts[1::2])
 
 
 def greedy_search(
     train: Dataset, val: Dataset, pool: CandidatePool, config: SearchConfig
 ) -> SearchResult:
     """One pass over the pool, accepting candidates that lift validation
-    AUROC by more than delta_min; exactly len(pool) fit/evaluate rounds."""
+    AUROC by more than delta_min; exactly len(pool) fit/evaluate rounds.
+
+    Each candidate is compiled and evaluated on the validation rows once;
+    its AUROC comes from the counts of ID and OOD rows per satisfaction
+    pattern of the working set plus the candidate."""
     if len(pool) == 0:
         raise ValidationError("candidate pool is empty")
     if val.is_ood is None or not (np.any(val.is_ood) and np.any(~val.is_ood)):
         raise ValidationError("validation set must contain both ID and OOD rows")
-    train_id = _id_subset(train)
+    train_id = id_subset(train)
     if len(train_id) == 0:
         raise ValidationError("training set has no ID rows")
     schema = train.schema
+    is_ood = val.is_ood.astype(np.intp)
 
-    def fit_set(asts):
-        compiled = tuple(
-            compile_constraint(ast, schema, constraint_id=i)
-            for i, ast in enumerate(asts)
-        )
-        base = MlnModel(schema, compiled, np.zeros(len(compiled)))
+    def fit(constraints):
+        base = MlnModel(schema, tuple(constraints), np.zeros(len(constraints)))
         return fit_weights(base, train_id, config.fit).model
 
-    working: list[Node] = list(config.seed_constraints)
+    working: list[CompiledConstraint] = []
+    patterns = _RowPatterns(np.zeros(len(val), dtype=np.intp), np.zeros((1, 0), np.intp))
+    for ast in config.seed_constraints:
+        working.append(compile_constraint(ast, schema, constraint_id=len(working)))
+        patterns = patterns.extend(working[-1].evaluate_batch(val.vectors))
     best_j = config.baseline_j0
-    best_model = fit_set(working)
+    best_model = fit(working)
     if working:
-        best_j = max(best_j, _val_auroc(best_model, val))
+        best_j = max(best_j, patterns.auroc(best_model.weights, is_ood))
 
     audit: list[AuditEntry] = []
     for ast in pool.candidates:
         source = pretty(ast)
+        candidate = compile_constraint(ast, schema, constraint_id=len(working))
         try:
-            candidate_model = fit_set(working + [ast])
-            j_prime = _val_auroc(candidate_model, val)
+            candidate_model = fit(working + [candidate])
         except NumericalError as exc:
             audit.append(AuditEntry(source, None, False, str(exc)))
             continue
+        extended = patterns.extend(candidate.evaluate_batch(val.vectors))
+        j_prime = extended.auroc(candidate_model.weights, is_ood)
         accepted = j_prime > best_j + config.delta_min
         audit.append(AuditEntry(source, j_prime, accepted))
         if accepted:
-            working.append(ast)
+            working.append(candidate)
+            patterns = extended
             best_j = j_prime
             best_model = candidate_model
 

@@ -178,7 +178,14 @@ def _model_from_config(schema: Schema, raw: dict) -> MlnModel:
 def load_synth_spec(path) -> SynthSpec:
     """Read a SynthSpec JSON config; see README for the full format."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}:{exc.lineno}: invalid JSON: {exc.msg} (column {exc.colno})"
+            ) from None
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     try:
         schema = schema_from_dict(raw["schema"])
         model = _model_from_config(schema, raw["model"])

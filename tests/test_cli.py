@@ -302,3 +302,26 @@ def test_search_connectives_separate_value(tmp_path):
         reports.append(report.read_bytes())
     assert reports[0] == reports[1]
     assert b"xor" in reports[0] and b"->" in reports[0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"schema": ', ":1: invalid JSON"), ("[1, 2]", ": expected a JSON object, got list")],
+    ids=["malformed-json", "not-an-object"],
+)
+def test_synth_bad_config_exit_code(tmp_path, capsys, text, message):
+    config = tmp_path / "spec.json"
+    config.write_text(text, encoding="utf-8")
+    code = run("synth", "--config", config, "--out-dir", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{config}{message}" in err
+    assert "Traceback" not in err
+
+
+def test_directory_path_exit_code(workdir, capsys):
+    code = run("compile", "--schema", workdir, "--constraints", workdir / "kb.txt")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(workdir) in err
+    assert "Traceback" not in err

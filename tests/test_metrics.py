@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import aupr_brute, auroc_brute, fpr_at_tpr_brute
 from logicood.errors import ValidationError
-from logicood.metrics import aupr, auroc, evaluate_scores, fpr_at_tpr
+from logicood.metrics import aupr, auroc, auroc_from_counts, evaluate_scores, fpr_at_tpr
 from logicood.schema import Dataset, Schema
 
 BIN1 = Schema((("p", ("false", "true")),))
@@ -65,6 +65,50 @@ def test_auroc_invariant_to_monotone_transform(seed):
     base = auroc(ids, oods)
     assert auroc(np.exp(ids), np.exp(oods)) == pytest.approx(base, abs=1e-12)
     assert auroc(3 * ids + 7, 3 * oods + 7) == pytest.approx(base, abs=1e-12)
+
+
+def _expanded_auroc(scores, id_counts, ood_counts):
+    return auroc(np.repeat(scores, id_counts), np.repeat(scores, ood_counts))
+
+
+@given(st.integers(0, 5000), st.sampled_from(["integers", "tenths", "signed-zero-inf"]))
+@settings(max_examples=80, deadline=None)
+def test_auroc_from_counts_bit_equal_to_expanded_rows(seed, kind):
+    r = np.random.default_rng(seed)
+    k = int(r.integers(1, 25))
+    if kind == "integers":  # heavy ties, also between distinct patterns
+        scores = r.integers(-2, 3, size=k).astype(np.float64)
+    elif kind == "tenths":
+        scores = np.round(r.normal(size=k), 1)
+    else:
+        scores = r.choice([0.0, -0.0, 1.5, np.inf, -np.inf], size=k)
+    # Many patterns have a zero ID or zero OOD count, some have both zero.
+    id_counts = r.integers(0, 40, size=k) * (r.random(k) < 0.6)
+    ood_counts = r.integers(0, 40, size=k) * (r.random(k) < 0.6)
+    id_counts[r.integers(k)] += 1
+    ood_counts[r.integers(k)] += 1
+    expected = _expanded_auroc(scores, id_counts, ood_counts)
+    assert auroc_from_counts(scores, id_counts, ood_counts) == expected
+
+
+def test_auroc_from_counts_hand_cases():
+    # One pattern per class: a strict order, then a full tie.
+    assert auroc_from_counts([0.0, 1.0], [3, 0], [0, 2]) == 1.0
+    assert auroc_from_counts([2.0, 2.0], [3, 0], [0, 2]) == 0.5
+    scores, id_counts, ood_counts = [1.0, np.nan], [2, 1], [1, 0]
+    assert np.isnan(auroc_from_counts(scores, id_counts, ood_counts))
+    assert np.isnan(_expanded_auroc(scores, id_counts, ood_counts))
+    # A score no row holds takes no part, even NaN.
+    assert auroc_from_counts([1.0, np.nan, 2.0], [1, 0, 0], [0, 0, 1]) == 1.0
+
+
+def test_auroc_from_counts_validation():
+    with pytest.raises(ValidationError, match="non-empty"):
+        auroc_from_counts([0.0, 1.0], [0, 0], [1, 2])
+    with pytest.raises(ValidationError, match=">= 0"):
+        auroc_from_counts([0.0, 1.0], [-1, 2], [1, 2])
+    with pytest.raises(ValidationError, match="one length"):
+        auroc_from_counts([0.0, 1.0], [1], [1, 2])
 
 
 def test_auroc_role_swap_on_tie_free_data(rng):

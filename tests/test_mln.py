@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 from scipy.special import logsumexp
 
 from conftest import random_ast, random_schema, random_vectors
@@ -315,6 +318,61 @@ def test_fit_nll_monotone_and_deterministic(rng):
     assert np.array_equal(r1.model.weights, r2.model.weights)
     hist = np.asarray(r1.nll_history)
     assert np.all(np.diff(hist) <= 1e-12)
+
+
+def reference_fit(m, data, cfg):
+    """fit_weights with the NLL recomputed at every accepted iterate."""
+    stats = mln._stats(m, data, cfg.space_cap)
+    w0 = np.full(len(m.constraints), cfg.init_weight)
+    history = [stats.nll(w0)]
+    result = optimize.minimize(
+        stats.nll_grad,
+        w0,
+        jac=True,
+        method="L-BFGS-B",
+        callback=lambda wk: history.append(stats.nll(wk)),
+        options={"maxiter": cfg.max_epochs, "ftol": cfg.convergence_tol, "gtol": 1e-12},
+    )
+    return tuple(history), result.x, result.nit
+
+
+@given(st.integers(0, 10_000), st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_fit_history_bit_equal_to_recomputed_nll(seed, max_epochs):
+    r = np.random.default_rng(seed)
+    m = random_model(r)
+    data = dataset(m.schema, random_vectors(r, m.schema, int(r.integers(1, 200))))
+    cfg = FitConfig(max_epochs=max_epochs, init_weight=float(r.choice([-1.0, 0.0, 2.0])))
+    fit = fit_weights(m, data, cfg)
+    history, weights, nit = reference_fit(m, data, cfg)
+    assert fit.nll_history == history
+    assert np.array_equal(fit.model.weights, weights)
+    assert fit.epochs_used == nit
+
+
+_LSE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, np.inf, -np.inf, np.nan]),
+    st.integers(-30, 30).map(float),
+    st.floats(-700.0, 700.0),
+)
+
+
+@given(st.lists(_LSE_VALUES, min_size=1, max_size=300))
+@settings(max_examples=300, deadline=None)
+def test_logsumexp_bit_equal_to_scipy(values):
+    a = np.asarray(values, dtype=np.float64)
+    expected, got = logsumexp(a), mln._logsumexp(a)
+    assert type(got) is type(expected)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 2000))
+@settings(max_examples=60, deadline=None)
+def test_logsumexp_bit_equal_on_energies(seed, n):
+    # Integer-valued energies tie often, the way phi @ w does for round weights.
+    r = np.random.default_rng(seed)
+    for a in (r.integers(-4, 3, size=n) * 0.5, r.normal(scale=20.0, size=n)):
+        assert mln._logsumexp(a) == logsumexp(a)
 
 
 def test_fit_degenerate_mle_capped():

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_ast, random_schema, random_vectors
 from logicood.constraints import compile_constraint, compile_source, parse, pretty
-from logicood.errors import ValidationError
-from logicood.mln import FitConfig, MlnModel, enumerate_space
+from logicood.errors import NumericalError, ValidationError
+from logicood.metrics import auroc
+from logicood.mln import FitConfig, MlnModel, enumerate_space, fit_weights, mln_score_batch
 from logicood.schema import Dataset, schema_from_dict
 from logicood.search import (
+    AuditEntry,
+    CandidatePool,
     GeneratorConfig,
     SearchConfig,
+    SearchResult,
     generate_candidates,
     greedy_search,
     objective,
@@ -219,3 +226,116 @@ def test_greedy_validation_errors():
     )
     with pytest.raises(ValidationError, match="both ID and OOD"):
         greedy_search(train, id_only, pool, SearchConfig())
+
+
+# ---------------------------------------------------------------------------
+# Greedy search against a naive loop that refits, rescores every validation
+# row and reranks for each candidate
+
+
+def naive_search(train, val, pool, config):
+    train_id = Dataset(
+        train.schema, train.vectors[~train.is_ood],
+        tuple(np.asarray(train.sample_ids, dtype=object)[~train.is_ood]),
+    )
+
+    def fit(asts):
+        compiled = tuple(
+            compile_constraint(ast, train.schema, constraint_id=i) for i, ast in enumerate(asts)
+        )
+        base = MlnModel(train.schema, compiled, np.zeros(len(compiled)))
+        return fit_weights(base, train_id, config.fit).model
+
+    def val_auroc(model):
+        scores = mln_score_batch(model, val.vectors)
+        return auroc(scores[~val.is_ood], scores[val.is_ood])
+
+    working = list(config.seed_constraints)
+    best_j, best_model = config.baseline_j0, fit(working)
+    if working:
+        best_j = max(best_j, val_auroc(best_model))
+    audit = []
+    for ast in pool.candidates:
+        try:
+            model = fit(working + [ast])
+            j_prime = val_auroc(model)
+        except NumericalError as exc:
+            audit.append(AuditEntry(pretty(ast), None, False, str(exc)))
+            continue
+        accepted = j_prime > best_j + config.delta_min
+        audit.append(AuditEntry(pretty(ast), j_prime, accepted))
+        if accepted:
+            working.append(ast)
+            best_j, best_model = j_prime, model
+    return SearchResult(best_model, best_j, tuple(audit), len(pool), config.delta_min)
+
+
+def labeled_rows(rng, schema, n, ood_share):
+    flags = rng.random(n) < ood_share
+    flags[:2] = (False, True)  # both classes present
+    vectors = random_vectors(rng, schema, n)
+    return Dataset(schema, vectors, tuple(map(str, range(n))), None, flags)
+
+
+def assert_same_search(train, val, pool, config):
+    result = greedy_search(train, val, pool, config)
+    expected = naive_search(train, val, pool, config)
+    assert result.to_json_dict() == expected.to_json_dict()
+    assert np.array_equal(result.model.weights, expected.model.weights)
+    assert [c.constraint_id for c in result.model.constraints] == list(
+        range(len(result.model.constraints))
+    )
+    return result
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_greedy_matches_naive_loop(seed):
+    r = np.random.default_rng(seed)
+    schema = random_schema(r, max_concepts=4, max_domain=3)
+    pool = CandidatePool(
+        GeneratorConfig(),
+        tuple(random_ast(r, schema, max_depth=3) for _ in range(int(r.integers(1, 12)))),
+    )
+    seeds = tuple(random_ast(r, schema, max_depth=3) for _ in range(int(r.integers(0, 3))))
+    config = SearchConfig(
+        delta_min=float(r.choice([0.0, 0.001, 0.02])),
+        baseline_j0=float(r.choice([0.0, 0.5])),
+        seed_constraints=seeds,
+        fit=FitConfig(max_epochs=int(r.integers(1, 8))),
+    )
+    train = labeled_rows(r, schema, int(r.integers(3, 120)), 0.3)
+    val = labeled_rows(r, schema, int(r.integers(2, 150)), float(r.random()))
+    assert_same_search(train, val, pool, config)
+
+
+def test_greedy_matches_naive_loop_with_wide_working_set(rng):
+    # 70 seed members over 60 validation rows: far more members than a
+    # 64-bit pattern code holds, and 2^70 possible patterns for 60 rows.
+    schema = random_schema(rng, max_concepts=5, max_domain=3)
+    seeds = tuple(random_ast(rng, schema, max_depth=3) for _ in range(70))
+    pool = CandidatePool(
+        GeneratorConfig(), tuple(random_ast(rng, schema, max_depth=3) for _ in range(8))
+    )
+    config = SearchConfig(delta_min=0.0, seed_constraints=seeds, fit=FitConfig(max_epochs=3))
+    train = labeled_rows(rng, schema, 80, 0.2)
+    val = labeled_rows(rng, schema, 60, 0.5)
+    result = assert_same_search(train, val, pool, config)
+    assert len(result.model.constraints) >= 70
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the planned overflow
+def test_greedy_candidate_fit_error_is_audited():
+    # From init weight 1e308, two constraints satisfied in one world give
+    # an infinite energy and a non-finite NLL, so every candidate fit fails
+    # and none is accepted.
+    train = planted_benchmark(seed=7, n=200)
+    val = planted_benchmark(seed=8, n=200)
+    pool = generate_candidates(BIN4, GeneratorConfig(connectives=("xor",)))
+    config = SearchConfig(
+        seed_constraints=(parse("c0 xor c1"),), fit=FitConfig(init_weight=1e308)
+    )
+    result = assert_same_search(train, val, pool, config)
+    errors = [e for e in result.audit if e.error is not None]
+    assert errors and all(e.auroc is None and not e.accepted for e in errors)
+    assert [c.source for c in result.model.constraints] == ["c0=true xor c1=true"]
