@@ -20,7 +20,7 @@ from logicood.errors import ValidationError
 from logicood.fusion import FusedScorer, fuse_batch
 from logicood.metrics import evaluate_scores
 from logicood.mln import FitConfig, MlnModel, fit_weights
-from logicood.schema import Dataset, schema_from_dict
+from logicood.schema import id_subset, schema_from_dict
 from logicood.synth import DetectorSpec, SynthSpec, make_benchmark
 
 PLANTED = ("c0 xor c1", "c2 xor c3")
@@ -49,12 +49,7 @@ def main(argv=None):
         )
 
     train, test = split(args.seed), split(args.seed + 1)
-    id_mask = ~train.is_ood
-    train_id = Dataset(
-        schema,
-        train.vectors[id_mask],
-        tuple(np.asarray(train.sample_ids)[id_mask]),
-    )
+    train_id = id_subset(train)
     start = MlnModel(schema, constraints, np.zeros(len(constraints)))
     model = fit_weights(start, train_id, FitConfig(max_epochs=100)).model
     print(f"fitted weights: {[round(float(w), 3) for w in model.weights]}",
@@ -62,15 +57,11 @@ def main(argv=None):
 
     print(f"{'family':<20} {'AUROC':>8} {'FPR95':>8}")
     for family in FAMILIES:
-        if family == "none":
-            from logicood.distributions import ScoreDistribution
-            dist = ScoreDistribution("none", {})
-        else:
-            try:
-                dist = fit_distribution(train.detector_scores[id_mask], family)
-            except ValidationError as exc:
-                print(f"{family:<20} skipped: {exc}")
-                continue
+        try:
+            dist = fit_distribution(train_id.detector_scores, family)
+        except ValidationError as exc:
+            print(f"{family:<20} skipped: {exc}")
+            continue
         fused = fuse_batch(FusedScorer(model, dist), test)
         r = evaluate_scores(test, fused)
         print(f"{family:<20} {r.auroc:8.4f} {r.fpr95:8.4f}")

@@ -11,12 +11,12 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from logicood.artifacts import write_json
 from logicood.constraints import compile_source
 from logicood.distributions import fit_distribution
 from logicood.fusion import FusedScorer, fuse_batch
@@ -84,19 +84,16 @@ def main(argv=None):
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(test, args.out_dir / "test.csv")
-    with open(args.out_dir / "results.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "seed": args.seed,
-                "family": args.family,
-                "accepted": [c.source for c in model.constraints],
-                "weights": [float(w) for w in model.weights],
-                "metrics": {k: v.to_json_dict() for k, v in rows.items()},
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(
+        args.out_dir / "results.json",
+        {
+            "seed": args.seed,
+            "family": args.family,
+            "accepted": [c.source for c in model.constraints],
+            "weights": [float(w) for w in model.weights],
+            "metrics": {k: v.to_json_dict() for k, v in rows.items()},
+        },
+    )
     print(f"wrote {args.out_dir}/results.json", file=sys.stderr)
     return 0
 

@@ -2,6 +2,7 @@
 
 Subpackage map:
 
+- artifacts: the atomic file writer and the JSON reader every artifact uses
 - schema: semantic space definition, dataset I/O
 - constraints: constraint DSL parser and batch compiler
 - mln: log-linear constraint model, exact inference, weight learning

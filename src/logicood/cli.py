@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: compile, fit, score, fuse, search, eval, synth. Logs go to
-stderr; data goes only to declared output files. Output files are written
-atomically (temp file + rename). Exit codes: 0 success, 1 usage error,
+stderr; data goes only to declared output files, each written atomically
+through the artifacts module. Exit codes: 0 success, 1 usage error,
 2 data/validation error, 3 numerical failure.
 """
 
@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
-from . import distributions, fusion, metrics, mln, schema as schema_mod, search, synth
+from . import artifacts, distributions, fusion, metrics, mln, schema as schema_mod, search, synth
 from .constraints import load_constraints, save_constraints
 from .errors import LogicOodError, NumericalError, ValidationError
 
@@ -40,19 +38,6 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _scores_csv(ids, scores) -> str:
     lines = ["__id,score"]
     for sid, s in zip(ids, scores):
@@ -65,10 +50,6 @@ def _decisions_csv(ids, flags) -> str:
     for sid, flag in zip(ids, flags):
         lines.append(f"{sid},{1 if flag else 0}")
     return "\n".join(lines) + "\n"
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -88,14 +69,13 @@ def _load_model(args):
 def _fit_config(args) -> mln.FitConfig:
     return mln.FitConfig(
         max_epochs=args.epochs,
-        learning_rate=args.lr,
         convergence_tol=args.tol,
         init_weight=args.init_weight,
         space_cap=args.space_cap,
     )
 
 
-def _explanations_json(model, data) -> str:
+def _explanations(model, data) -> list:
     payload = []
     for i in range(len(data)):
         report = mln.explain(model, data.vectors[i])
@@ -115,7 +95,7 @@ def _explanations_json(model, data) -> str:
                 ],
             }
         )
-    return _json_text(payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +125,7 @@ def cmd_fit(args) -> int:
         f"initial NLL {result.nll_history[0]:.6f}, "
         f"final NLL {result.nll_history[-1]:.6f}, epochs used {result.epochs_used}"
     )
-    payload = [
-        {"constraint": c.source, "weight": float(w)}
-        for c, w in zip(result.model.constraints, result.model.weights)
-    ]
-    _atomic_write(args.out, _json_text(payload))
+    mln.save_weights(result.model, args.out)
     return EXIT_OK
 
 
@@ -157,43 +133,38 @@ def cmd_score(args) -> int:
     model = _load_model(args)
     data = schema_mod.load_dataset(args.data, model.schema)
     scores = mln.mln_score_batch(model, data.vectors)
-    _atomic_write(args.out, _scores_csv(data.sample_ids, scores))
+    artifacts.write_text(args.out, _scores_csv(data.sample_ids, scores))
     if args.explain:
-        _atomic_write(args.explain, _explanations_json(model, data))
+        artifacts.write_json(args.explain, _explanations(model, data))
     _log(f"scored {len(data)} rows")
     return EXIT_OK
 
 
 def cmd_fuse(args) -> int:
+    if args.threshold is not None and not args.decisions:
+        raise ValidationError("--threshold requires --decisions <path>")
     model = _load_model(args)
     data = schema_mod.load_dataset(args.data, model.schema)
     reference = schema_mod.id_subset(schema_mod.load_dataset(args.train, model.schema))
     family = FAMILY_FLAGS[args.family]
-    if family == "none":
-        dist = distributions.ScoreDistribution("none", {})
-    else:
-        if reference.detector_scores is None:
-            raise ValidationError(
-                f"{args.train}: fitting the {family} family needs __detector_score"
-            )
-        dist = distributions.fit_distribution(reference.detector_scores, family)
+    if family != "none" and reference.detector_scores is None:
+        raise ValidationError(
+            f"{args.train}: fitting the {family} family needs __detector_score"
+        )
+    dist = distributions.fit_distribution(reference.detector_scores, family)
     scorer = fusion.FusedScorer(model, dist, args.threshold)
     if family == "none" and data.detector_scores is None:
         fused = mln.mln_score_batch(model, data.vectors)
     else:
         fused = fusion.fuse_batch(scorer, data)
-    _atomic_write(args.out, _scores_csv(data.sample_ids, fused))
+    artifacts.write_text(args.out, _scores_csv(data.sample_ids, fused))
     if args.dist_out:
-        _atomic_write(
-            args.dist_out, _json_text({"family": dist.family, "params": dist.params})
-        )
+        distributions.save_distribution(dist, args.dist_out)
     if args.explain:
-        _atomic_write(args.explain, _explanations_json(model, data))
+        artifacts.write_json(args.explain, _explanations(model, data))
     if args.threshold is not None:
-        if not args.decisions:
-            raise ValidationError("--threshold requires --decisions <path>")
         flags = fusion.threshold(fused, args.threshold)
-        _atomic_write(args.decisions, _decisions_csv(data.sample_ids, flags))
+        artifacts.write_text(args.decisions, _decisions_csv(data.sample_ids, flags))
     _log(f"fused {len(data)} rows with family {family}")
     return EXIT_OK
 
@@ -229,7 +200,7 @@ def cmd_eval(args) -> int:
                 f"{args.scores}: row {i + 2}: non-numeric score {row[1]!r}"
             ) from None
     result = metrics.evaluate_scores(data, scores)
-    _atomic_write(args.out, _json_text(result.to_json_dict()))
+    artifacts.write_json(args.out, result.to_json_dict())
     _log(
         f"auroc {result.auroc:.4f}, aupr_id {result.aupr_id:.4f}, "
         f"aupr_ood {result.aupr_ood:.4f}, fpr95 {result.fpr95:.4f}"
@@ -258,10 +229,9 @@ def cmd_search(args) -> int:
         fit=_fit_config(args),
     )
     result = search.greedy_search(train, val, pool, config)
-    _atomic_write(args.out, _json_text(result.to_json_dict()))
+    artifacts.write_json(args.out, result.to_json_dict())
     if args.accepted_out:
-        text = "".join(c.source + "\n" for c in result.model.constraints)
-        _atomic_write(args.accepted_out, text)
+        save_constraints(result.model.constraints, args.accepted_out)
     _log(
         f"accepted {len(result.model.constraints)} constraints, "
         f"final auroc {result.final_auroc:.4f}"
@@ -278,35 +248,13 @@ def cmd_synth(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     data = synth.make_benchmark(spec)
 
-    schema_path = os.path.join(args.out_dir, "schema.json")
-    raw = {
-        name: ("binary" if domain == schema_mod.BINARY_DOMAIN else list(domain))
-        for name, domain in spec.schema.concepts
-    }
-    _atomic_write(schema_path, _json_text(raw))
-    _atomic_write(
-        os.path.join(args.out_dir, "truth_constraints.txt"),
-        "".join(c.source + "\n" for c in spec.model.constraints),
+    schema_mod.save_schema(spec.schema, os.path.join(args.out_dir, "schema.json"))
+    save_constraints(
+        spec.model.constraints, os.path.join(args.out_dir, "truth_constraints.txt")
     )
-    _atomic_write(
-        os.path.join(args.out_dir, "truth_weights.json"),
-        _json_text(
-            [
-                {"constraint": c.source, "weight": float(w)}
-                for c, w in zip(spec.model.constraints, spec.model.weights)
-            ]
-        ),
-    )
+    mln.save_weights(spec.model, os.path.join(args.out_dir, "truth_weights.json"))
     data_path = os.path.join(args.out_dir, "data.csv")
-    tmp_fd, tmp = tempfile.mkstemp(dir=args.out_dir, prefix=".tmp_", suffix="~")
-    os.close(tmp_fd)
-    try:
-        schema_mod.save_dataset(data, tmp)
-        os.replace(tmp, data_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    schema_mod.save_dataset(data, data_path)
     _log(
         f"wrote {len(data)} rows ({spec.n_id} ID, {spec.n_ood} OOD) to {data_path}"
     )
@@ -319,7 +267,6 @@ def cmd_synth(args) -> int:
 
 def _add_fit_flags(p):
     p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--init-weight", type=float, default=-1.0)
     p.add_argument(

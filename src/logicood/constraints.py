@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .artifacts import write_text
 from .errors import CompileError, ParseError
 from .schema import Schema
 
@@ -267,7 +268,7 @@ class CompiledConstraint:
     def evaluate(self, z) -> int:
         """Truth value (0/1) on a single semantic vector."""
         z = self.schema.validate_vector(z)
-        return int(_eval_scalar(self.ast, self._atom_table(), z))
+        return int(_eval_scalar(self.ast, self._atoms, z))
 
     def evaluate_batch(self, rows) -> np.ndarray:
         """Vectorized truth values on a (n, n_concepts) index matrix."""
@@ -281,7 +282,7 @@ class CompiledConstraint:
             sizes = np.asarray(self.schema.domain_sizes)
             if np.any(rows < 0) or np.any(rows >= sizes):
                 raise CompileError("batch contains out-of-domain index")
-        return _eval_batch(self.ast, self._atom_table(), rows).astype(np.int8)
+        return _eval_batch(self.ast, self._atoms, rows).astype(np.int8)
 
     @property
     def concept_indices(self) -> frozenset[int]:
@@ -291,9 +292,6 @@ class CompiledConstraint:
     @cached_property
     def _atoms(self):
         return _resolve_atoms(self.ast, self.schema)
-
-    def _atom_table(self):
-        return self._atoms
 
 
 def _resolve_atoms(node: Node, schema: Schema, table=None):
@@ -399,6 +397,4 @@ def load_constraints(path, schema: Schema) -> list[CompiledConstraint]:
 
 
 def save_constraints(constraints, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in constraints:
-            fh.write(c.source + "\n")
+    write_text(path, "".join(c.source + "\n" for c in constraints))

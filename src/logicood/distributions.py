@@ -9,7 +9,6 @@ available for ablations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 from scipy import optimize, stats as sps
 from scipy.special import gamma as gamma_fn
 
+from .artifacts import read_json, write_json
 from .errors import NumericalError, ValidationError
 
 FAMILIES = ("gev", "uniform", "normal", "generalized_normal", "lognormal", "none")
@@ -209,13 +209,6 @@ def survival(d: ScoreDistribution, s) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def cdf(d: ScoreDistribution, s) -> np.ndarray | float:
-    scalar = np.isscalar(s)
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    out = np.zeros_like(s) if d.family == "none" else np.clip(_frozen(d).cdf(s), 0.0, 1.0)
-    return float(out[0]) if scalar else out
-
-
 def quantile(d: ScoreDistribution, u) -> np.ndarray:
     """Inverse CDF at probabilities u."""
     if d.family == "none":
@@ -289,14 +282,11 @@ def fit_diagnostics(d: ScoreDistribution, scores, bins: int = 50) -> FitDiagnost
 
 
 def save_distribution(d: ScoreDistribution, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"family": d.family, "params": d.params}, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"family": d.family, "params": d.params})
 
 
 def load_distribution(path) -> ScoreDistribution:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     try:
         return ScoreDistribution(raw["family"], dict(raw["params"]))
     except (KeyError, TypeError) as exc:

@@ -8,7 +8,6 @@ threshold reaching 95% true-positive rate on OOD samples.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -149,9 +148,3 @@ def evaluate_scores(data: Dataset, scores) -> EvalResult:
         n_id=int(id_scores.size),
         n_ood=int(ood_scores.size),
     )
-
-
-def save_eval_result(result: EvalResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2)
-        fh.write("\n")

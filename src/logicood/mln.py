@@ -13,13 +13,13 @@ concept multiplies Z by its domain size.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
 
+from .artifacts import read_json, write_json
 from .constraints import CompiledConstraint
 from .errors import NumericalError, SpaceCapError, ValidationError
 from .schema import Dataset, Schema
@@ -49,10 +49,10 @@ class MlnModel:
 @dataclass(frozen=True)
 class FitConfig:
     """Weight-learning settings; defaults follow the original recipe
-    (init -1, 10 epochs, learning rate 0.01) plus an early-stop tolerance."""
+    (init -1, 10 epochs) plus an early-stop tolerance. L-BFGS chooses its
+    own step sizes, so there is no learning rate."""
 
     max_epochs: int = 10
-    learning_rate: float = 0.01
     convergence_tol: float = 1e-9
     init_weight: float = -1.0
     space_cap: int = DEFAULT_SPACE_CAP  # worlds over the concepts the KB mentions
@@ -60,8 +60,6 @@ class FitConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValidationError("max_epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be > 0")
         if self.convergence_tol < 0:
             raise ValidationError("convergence_tol must be >= 0")
         if self.space_cap < 1:
@@ -300,20 +298,12 @@ def save_weights(model: MlnModel, path) -> None:
         {"constraint": c.source, "weight": float(w)}
         for c, w in zip(model.constraints, model.weights)
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_weights(path, constraints) -> np.ndarray:
     """Read a weights JSON file and check it lines up with the knowledge base."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}:{exc.lineno}: invalid JSON: {exc.msg} (column {exc.colno})"
-            ) from None
+    payload = read_json(path)
     if not isinstance(payload, list) or len(payload) != len(constraints):
         raise ValidationError(
             f"{path}: expected {len(constraints)} weight entries, got "

@@ -10,13 +10,13 @@ I/O boundary.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import atomic_open, read_json, write_json
 from .errors import ValidationError
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -145,12 +145,7 @@ def id_subset(data: Dataset) -> Dataset:
 
 def load_schema(path) -> Schema:
     """Read a schema JSON file: {"concept": ["v1", ...] | "binary", ...}."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"schema file {path}: invalid JSON: {exc}") from exc
-    return schema_from_dict(raw)
+    return schema_from_dict(read_json(path))
 
 
 def schema_from_dict(raw) -> Schema:
@@ -173,9 +168,7 @@ def save_schema(schema: Schema, path) -> None:
         name: ("binary" if domain == BINARY_DOMAIN else list(domain))
         for name, domain in schema.concepts
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(raw, fh, indent=2)
-        fh.write("\n")
+    write_json(path, raw)
 
 
 def semantic_space_size(schema: Schema) -> int:
@@ -268,7 +261,7 @@ def save_dataset(data: Dataset, path) -> None:
         header.append(COL_DETECTOR)
     if data.is_ood is not None:
         header.append(COL_OOD)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in range(len(data)):

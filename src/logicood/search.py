@@ -11,7 +11,6 @@ acceptance margin delta_min.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,18 +267,3 @@ def greedy_search(
             best_model = candidate_model
 
     return SearchResult(best_model, best_j, tuple(audit), len(pool), config.delta_min)
-
-
-def objective(j: float, constraint_count: int, lam: float) -> float:
-    """Regularized search objective: performance minus lam * set size."""
-    if not 0.0 <= j <= 1.0:
-        raise ValidationError("performance J must be in [0, 1]")
-    if lam < 0:
-        raise ValidationError("lambda must be >= 0")
-    return j - lam * constraint_count
-
-
-def save_search_report(result: SearchResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2)
-        fh.write("\n")

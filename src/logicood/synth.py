@@ -13,12 +13,12 @@ stage never perturbs the others.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions
+from .artifacts import read_json
 from .constraints import compile_source
 from .errors import ValidationError
 from .mln import DEFAULT_SPACE_CAP, MlnModel, enumerate_space, satisfaction_matrix
@@ -177,13 +177,7 @@ def _model_from_config(schema: Schema, raw: dict) -> MlnModel:
 
 def load_synth_spec(path) -> SynthSpec:
     """Read a SynthSpec JSON config; see README for the full format."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}:{exc.lineno}: invalid JSON: {exc.msg} (column {exc.colno})"
-            ) from None
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     try:

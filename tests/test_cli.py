@@ -325,3 +325,31 @@ def test_directory_path_exit_code(workdir, capsys):
     err = capsys.readouterr().err
     assert str(workdir) in err
     assert "Traceback" not in err
+
+
+def test_fuse_threshold_without_decisions_writes_nothing(workdir, capsys):
+    weights = _write_weights(
+        workdir,
+        '[{"constraint": "color=red -> is_octagon", "weight": 1.0},'
+        ' {"constraint": "is_octagon", "weight": 1.0}]',
+    )
+    outputs = [workdir / "fused.csv", workdir / "dist.json", workdir / "explain.json"]
+    code = run(
+        "fuse", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--weights", weights, "--train", workdir / "train.csv",
+        "--data", workdir / "train.csv", "--family", "none", "--out", outputs[0],
+        "--dist-out", outputs[1], "--explain", outputs[2], "--threshold", 0.5,
+    )
+    assert code == 2
+    assert "--threshold requires --decisions" in capsys.readouterr().err
+    assert not any(p.exists() for p in outputs)
+
+
+def test_compile_bad_schema_exit_code(workdir, capsys):
+    schema = workdir / "schema.json"
+    schema.write_text('{"color": ', encoding="utf-8")
+    code = run("compile", "--schema", schema, "--constraints", workdir / "kb.txt")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{schema}:1: invalid JSON" in err
+    assert "Traceback" not in err

@@ -54,7 +54,7 @@ def test_schema_bad_name():
 
 def test_schema_bad_json(tmp_path):
     p = write(tmp_path / "s.json", "{nope")
-    with pytest.raises(ValidationError, match="invalid JSON"):
+    with pytest.raises(ValidationError, match=r"s\.json:1: invalid JSON"):
         load_schema(p)
 
 

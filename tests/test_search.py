@@ -17,7 +17,6 @@ from logicood.search import (
     SearchResult,
     generate_candidates,
     greedy_search,
-    objective,
 )
 from logicood.synth import SynthSpec, make_benchmark
 
@@ -113,30 +112,6 @@ def test_pool_determinism():
     a = generate_candidates(BIN4, GeneratorConfig(max_depth=2))
     b = generate_candidates(BIN4, GeneratorConfig(max_depth=2))
     assert a.sources() == b.sources()
-
-
-# ---------------------------------------------------------------------------
-# Objective
-
-
-def test_objective_arithmetic():
-    assert objective(0.9, 5, 0.01) == pytest.approx(0.85)
-    assert objective(0.7, 3, 0.0) == 0.7
-
-
-def test_objective_accept_rule_equivalence():
-    # Accepting one candidate iff J' > J + delta equals a positive
-    # single-step change of J - lambda*count with lambda = delta.
-    j, j_prime, delta, count = 0.6, 0.62, 0.01, 4
-    gain = objective(j_prime, count + 1, delta) - objective(j, count, delta)
-    assert (gain > 0) == (j_prime > j + delta)
-
-
-def test_objective_validation():
-    with pytest.raises(ValidationError):
-        objective(1.2, 1, 0.0)
-    with pytest.raises(ValidationError):
-        objective(0.5, 1, -0.1)
 
 
 # ---------------------------------------------------------------------------
