@@ -23,6 +23,7 @@ from .mln import (
     MlnModel,
     enumerate_space,
     explain,
+    explain_batch,
     fit_weights,
     log_partition,
     log_prob,

@@ -76,26 +76,23 @@ def _fit_config(args) -> mln.FitConfig:
 
 
 def _explanations(model, data) -> list:
-    payload = []
-    for i in range(len(data)):
-        report = mln.explain(model, data.vectors[i])
-        payload.append(
-            {
-                "__id": data.sample_ids[i],
-                "total_score": report.total_score,
-                "constraints": [
-                    {
-                        "id": e.constraint_id,
-                        "constraint": e.source,
-                        "satisfied": e.satisfied,
-                        "weight": e.weight,
-                        "contribution": e.contribution,
-                    }
-                    for e in report.entries
-                ],
-            }
-        )
-    return payload
+    return [
+        {
+            "__id": sid,
+            "total_score": report.total_score,
+            "constraints": [
+                {
+                    "id": e.constraint_id,
+                    "constraint": e.source,
+                    "satisfied": e.satisfied,
+                    "weight": e.weight,
+                    "contribution": e.contribution,
+                }
+                for e in report.entries
+            ],
+        }
+        for sid, report in zip(data.sample_ids, mln.explain_batch(model, data.vectors))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -267,21 +267,14 @@ class CompiledConstraint:
 
     def evaluate(self, z) -> int:
         """Truth value (0/1) on a single semantic vector."""
-        z = self.schema.validate_vector(z)
-        return int(_eval_scalar(self.ast, self._atoms, z))
+        return int(self.evaluate_batch([z])[0])
 
     def evaluate_batch(self, rows) -> np.ndarray:
         """Vectorized truth values on a (n, n_concepts) index matrix."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != len(self.schema):
-            raise CompileError(
-                f"batch shape {rows.shape} does not match schema with "
-                f"{len(self.schema)} concepts"
-            )
-        if rows.shape[0]:
-            sizes = np.asarray(self.schema.domain_sizes)
-            if np.any(rows < 0) or np.any(rows >= sizes):
-                raise CompileError("batch contains out-of-domain index")
+        return self._truth(self.schema.validate_rows(rows))
+
+    def _truth(self, rows: np.ndarray) -> np.ndarray:
+        """0/1 truth values on rows already checked against self.schema."""
         return _eval_batch(self.ast, self._atoms, rows).astype(np.int8)
 
     @property
@@ -309,23 +302,6 @@ def _resolve_atoms(node: Node, schema: Schema, table=None):
     return table
 
 
-def _eval_scalar(node: Node, atoms, z) -> bool:
-    if isinstance(node, Atom):
-        ci, vi = atoms[node]
-        return z[ci] == vi
-    if isinstance(node, Not):
-        return not _eval_scalar(node.child, atoms, z)
-    a = _eval_scalar(node.left, atoms, z)
-    b = _eval_scalar(node.right, atoms, z)
-    if isinstance(node, And):
-        return a and b
-    if isinstance(node, Or):
-        return a or b
-    if isinstance(node, Xor):
-        return a != b
-    return (not a) or b  # Implies
-
-
 def _eval_batch(node: Node, atoms, rows: np.ndarray) -> np.ndarray:
     if isinstance(node, Atom):
         ci, vi = atoms[node]
@@ -350,8 +326,6 @@ def compile_constraint(
     resolved = _resolve_ast(ast, schema)
     if source is None:
         source = pretty(resolved)
-    # Force atom resolution now so errors surface at compile time.
-    _resolve_atoms(resolved, schema)
     return CompiledConstraint(resolved, source, schema, constraint_id)
 
 

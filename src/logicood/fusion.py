@@ -33,6 +33,8 @@ def fuse_score(scorer: FusedScorer, z, detector_score: float) -> float:
 
 
 def fuse_batch(scorer: FusedScorer, data: Dataset) -> np.ndarray:
+    if data.schema != scorer.model.schema:
+        raise ValidationError("dataset schema differs from the model's")
     if data.detector_scores is None:
         raise ValidationError("dataset lacks the __detector_score column")
     if not np.all(np.isfinite(data.detector_scores)):

@@ -44,6 +44,12 @@ class MlnModel:
             )
         if not np.all(np.isfinite(w)):
             raise ValidationError("weights must be finite")
+        for c in self.constraints:
+            if c.schema != self.schema:
+                raise ValidationError(
+                    f"constraint {c.constraint_id} ({c.source!r}) is compiled "
+                    "against another schema than the model's"
+                )
 
 
 @dataclass(frozen=True)
@@ -81,39 +87,52 @@ class ScoreExplanation:
     entries: tuple[ExplanationEntry, ...]
 
 
-def mln_score(model: MlnModel, z) -> float:
-    """Outlier score -sum_i w_i * phi_i(z); no partition function.
-
-    Accumulates in knowledge-base order, matching mln_score_batch bit-exactly.
-    """
-    score = 0.0
-    for c, w in zip(model.constraints, model.weights):
-        score -= float(w) * c.evaluate(z)
-    return score
-
-
-def mln_score_batch(model: MlnModel, rows) -> np.ndarray:
-    """Vectorized mln_score over a (n, n_concepts) index matrix."""
-    rows = np.asarray(rows, dtype=np.int64)
-    scores = np.zeros(rows.shape[0])
-    # Fixed knowledge-base summation order for bit-reproducibility.
-    for c, w in zip(model.constraints, model.weights):
-        scores -= w * c.evaluate_batch(rows)
+def scores_from_columns(weights, columns, n: int) -> np.ndarray:
+    """Outlier scores -sum_i w_i * column_i of n rows, taken one 0/1 column
+    per constraint. The fixed knowledge-base summation order makes every
+    score, total and explanation in the package bit-equal; this is the
+    only place a score is summed."""
+    scores = np.zeros(n)
+    for w, column in zip(weights, columns):
+        scores -= w * column
     return scores
 
 
-def explain(model: MlnModel, z) -> ScoreExplanation:
-    """Per-constraint decomposition of the outlier score."""
-    entries = []
-    total = 0.0
-    for c, w in zip(model.constraints, model.weights):
-        sat = c.evaluate(z)
-        contribution = -float(w) * sat
-        total += contribution
-        entries.append(
-            ExplanationEntry(c.constraint_id, c.source, bool(sat), float(w), contribution)
+def mln_score(model: MlnModel, z) -> float:
+    """Outlier score -sum_i w_i * phi_i(z); no partition function."""
+    return float(mln_score_batch(model, [z])[0])
+
+
+def mln_score_batch(model: MlnModel, rows) -> np.ndarray:
+    """mln_score over a (n, n_concepts) index matrix, one constraint column
+    at a time so that no (n, M) matrix is held."""
+    rows = model.schema.validate_rows(rows)
+    columns = (c._truth(rows) for c in model.constraints)
+    return scores_from_columns(model.weights, columns, len(rows))
+
+
+def explain_batch(model: MlnModel, rows) -> list[ScoreExplanation]:
+    """Per-constraint decomposition of the outlier score of each row; each
+    total is bit-equal to mln_score_batch."""
+    phi = satisfaction_matrix(model, rows)
+    totals = scores_from_columns(model.weights, phi.T, len(phi))
+    contributions = -model.weights * phi
+    weights = model.weights.tolist()
+    return [
+        ScoreExplanation(
+            total,
+            tuple(
+                ExplanationEntry(c.constraint_id, c.source, bool(sat), w, contribution)
+                for c, sat, w, contribution in zip(model.constraints, sats, weights, row)
+            ),
         )
-    return ScoreExplanation(total, tuple(entries))
+        for total, sats, row in zip(totals.tolist(), phi.tolist(), contributions.tolist())
+    ]
+
+
+def explain(model: MlnModel, z) -> ScoreExplanation:
+    """Per-constraint decomposition of the outlier score of one vector."""
+    return explain_batch(model, [z])[0]
 
 
 def enumerate_space(
@@ -136,13 +155,13 @@ def enumerate_space(
     return worlds
 
 
-def satisfaction_matrix(model: MlnModel, rows: np.ndarray) -> np.ndarray:
+def satisfaction_matrix(model: MlnModel, rows) -> np.ndarray:
     """(n, M) matrix of phi_i over the given rows."""
-    if not model.constraints:
-        return np.zeros((rows.shape[0], 0))
-    return np.stack(
-        [c.evaluate_batch(rows) for c in model.constraints], axis=1
-    ).astype(np.float64)
+    rows = model.schema.validate_rows(rows)
+    phi = np.zeros((len(rows), len(model.constraints)))
+    for i, c in enumerate(model.constraints):
+        phi[:, i] = c._truth(rows)
+    return phi
 
 
 def _mentioned_worlds(model: MlnModel, space_cap: int):
@@ -210,6 +229,8 @@ class _SufficientStats:
 
 
 def _stats(model: MlnModel, data: Dataset, space_cap: int) -> _SufficientStats:
+    if data.schema != model.schema:
+        raise ValidationError("dataset schema differs from the model's")
     if len(data) == 0:
         raise ValidationError("cannot fit on an empty dataset")
     concepts, worlds, log_free = _mentioned_worlds(model, space_cap)

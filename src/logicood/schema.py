@@ -87,16 +87,18 @@ class Schema:
     def is_binary(self, concept: int | str) -> bool:
         return self.domain(concept) == BINARY_DOMAIN
 
-    def validate_vector(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.int64)
-        if z.shape != (len(self),):
+    def validate_rows(self, rows) -> np.ndarray:
+        """rows as an int64 (n, len(self)) matrix of in-domain indices: the
+        one shape and range check behind every dataset, score and
+        evaluation."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != len(self):
             raise ValidationError(
-                f"vector length {z.shape} does not match schema with {len(self)} concepts"
+                f"rows of shape {rows.shape} do not match schema with {len(self)} concepts"
             )
-        sizes = np.asarray(self.domain_sizes)
-        if np.any(z < 0) or np.any(z >= sizes):
-            raise ValidationError("vector has out-of-domain index")
-        return z
+        if rows.size and (rows.min() < 0 or (rows >= self.domain_sizes).any()):
+            raise ValidationError("rows contain out-of-domain index")
+        return rows
 
 
 @dataclass(frozen=True)
@@ -110,9 +112,8 @@ class Dataset:
     is_ood: np.ndarray | None = None  # (n,) bool
 
     def __post_init__(self):
+        object.__setattr__(self, "vectors", self.schema.validate_rows(self.vectors))
         n = self.vectors.shape[0]
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != len(self.schema):
-            raise ValidationError("vector matrix shape does not match schema")
         if len(self.sample_ids) != n:
             raise ValidationError("sample_ids length mismatch")
         if len(set(self.sample_ids)) != n:
@@ -120,9 +121,6 @@ class Dataset:
         for arr, name in ((self.detector_scores, COL_DETECTOR), (self.is_ood, COL_OOD)):
             if arr is not None and arr.shape != (n,):
                 raise ValidationError(f"{name} column length mismatch")
-        sizes = np.asarray(self.schema.domain_sizes)
-        if n and (np.any(self.vectors < 0) or np.any(self.vectors >= sizes)):
-            raise ValidationError("dataset contains out-of-domain index")
 
     def __len__(self) -> int:
         return self.vectors.shape[0]

@@ -29,7 +29,7 @@ from .constraints import (
 )
 from .errors import NumericalError, ValidationError
 from .metrics import auroc_from_counts
-from .mln import FitConfig, MlnModel, enumerate_space, fit_weights
+from .mln import FitConfig, MlnModel, enumerate_space, fit_weights, scores_from_columns
 from .schema import Dataset, Schema, id_subset
 
 _CONNECTIVES = {"->": Implies, "and": And, "or": Or, "xor": Xor}
@@ -205,12 +205,10 @@ class _RowPatterns:
 
     def auroc(self, weights: np.ndarray, is_ood: np.ndarray) -> float:
         """Validation AUROC of mln_score_batch with these member weights,
-        bit-equal to scoring every row: each pattern's score takes the same
-        knowledge-base-order steps as mln_score_batch does per row."""
+        bit-equal to scoring every row: each pattern is scored by the same
+        scores_from_columns that mln_score_batch uses."""
         counts = np.bincount(2 * self.index + is_ood, minlength=2 * len(self.bits))
-        table = np.zeros(len(self.bits))
-        for w, column in zip(weights, self.bits.T):
-            table -= w * column
+        table = scores_from_columns(weights, self.bits.T, len(self.bits))
         return auroc_from_counts(table, counts[0::2], counts[1::2])
 
 
@@ -225,12 +223,16 @@ def greedy_search(
     pattern of the working set plus the candidate."""
     if len(pool) == 0:
         raise ValidationError("candidate pool is empty")
+    if val.schema != train.schema:
+        raise ValidationError("validation schema differs from the training schema")
     if val.is_ood is None or not (np.any(val.is_ood) and np.any(~val.is_ood)):
         raise ValidationError("validation set must contain both ID and OOD rows")
     train_id = id_subset(train)
     if len(train_id) == 0:
         raise ValidationError("training set has no ID rows")
     schema = train.schema
+    # The Dataset checked val's rows against this schema once; candidates
+    # evaluate them with _truth, unchecked.
     is_ood = val.is_ood.astype(np.intp)
 
     def fit(constraints):
@@ -241,7 +243,7 @@ def greedy_search(
     patterns = _RowPatterns(np.zeros(len(val), dtype=np.intp), np.zeros((1, 0), np.intp))
     for ast in config.seed_constraints:
         working.append(compile_constraint(ast, schema, constraint_id=len(working)))
-        patterns = patterns.extend(working[-1].evaluate_batch(val.vectors))
+        patterns = patterns.extend(working[-1]._truth(val.vectors))
     best_j = config.baseline_j0
     best_model = fit(working)
     if working:
@@ -256,7 +258,7 @@ def greedy_search(
         except NumericalError as exc:
             audit.append(AuditEntry(source, None, False, str(exc)))
             continue
-        extended = patterns.extend(candidate.evaluate_batch(val.vectors))
+        extended = patterns.extend(candidate._truth(val.vectors))
         j_prime = extended.auroc(candidate_model.weights, is_ood)
         accepted = j_prime > best_j + config.delta_min
         audit.append(AuditEntry(source, j_prime, accepted))

@@ -151,6 +151,11 @@ def test_criterion_5_score_decomposition():
             for e in report.entries:
                 total += e.contribution
             assert total == report.total_score  # bit-exact
+            # The knowledge-base-order sum on the independent interpreter.
+            reference = 0.0
+            for c, w in zip(m.constraints, m.weights):
+                reference -= float(w) * int(interpret(c.ast, m.schema, z))
+            assert report.total_score == reference
             assert report.total_score == mln_score(m, z)
 
         # Violating one constraint of weight w changes the score by exactly +w.

@@ -17,7 +17,7 @@ from logicood.constraints import (
     parse,
     pretty,
 )
-from logicood.errors import CompileError, ParseError
+from logicood.errors import CompileError, ParseError, ValidationError
 from logicood.schema import Schema
 
 SIGN_SCHEMA = Schema(
@@ -113,8 +113,9 @@ def test_evaluate_stop_sign_rule():
 def test_evaluate_batch_matches_scalar(rng):
     c = compile_source("class_label=stop_sign -> not color=blue and is_octagon", SIGN_SCHEMA)
     rows = random_vectors(rng, SIGN_SCHEMA, 500)
-    batch = c.evaluate_batch(rows)
-    assert batch.tolist() == [c.evaluate(rows[i]) for i in range(500)]
+    expected = [int(interpret(c.ast, SIGN_SCHEMA, row)) for row in rows]
+    assert c.evaluate_batch(rows).tolist() == expected
+    assert [c.evaluate(row) for row in rows] == expected
 
 
 def test_evaluate_batch_empty():
@@ -128,6 +129,20 @@ def test_evaluate_schema_mismatch():
         c.evaluate([0, 0])
     with pytest.raises(Exception):
         c.evaluate_batch(np.zeros((3, 2), dtype=np.int64))
+
+
+def test_evaluate_bad_rows_raise_validation_error():
+    c = compile_source("is_octagon", SIGN_SCHEMA)
+    for bad in ([0, 0], [0, 0, 0, 0, 0], [[0, 0, 0]]):
+        with pytest.raises(ValidationError, match="rows of shape"):
+            c.evaluate_batch(bad)
+    with pytest.raises(ValidationError, match="rows of shape"):
+        c.evaluate([0, 0])
+    for bad in ([[0, 0, 0, 2]], [[0, 3, 0, 0]], [[-1, 0, 0, 0]]):
+        with pytest.raises(ValidationError, match="out-of-domain"):
+            c.evaluate_batch(bad)
+        with pytest.raises(ValidationError, match="out-of-domain"):
+            c.evaluate(bad[0])
 
 
 # ---------------------------------------------------------------------------

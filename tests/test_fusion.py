@@ -66,6 +66,15 @@ def test_fuse_batch_requires_detector_column(rng):
         fuse_batch(scorer, make_data(rng, 10, with_scores=False))
 
 
+def test_fuse_batch_rejects_dataset_of_another_schema(rng):
+    scorer = FusedScorer(make_model(), GUMBEL)
+    qp = Schema((("q", ("false", "true")), ("p", ("false", "true"))))
+    data = make_data(rng, 10)
+    other = Dataset(qp, data.vectors, data.sample_ids, data.detector_scores, data.is_ood)
+    with pytest.raises(ValidationError, match="schema differs"):
+        fuse_batch(scorer, other)
+
+
 def test_fuse_single_row(rng):
     scorer = FusedScorer(make_model(), GUMBEL)
     data = make_data(rng, 1)

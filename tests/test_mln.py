@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 from scipy.special import logsumexp
 
-from conftest import random_ast, random_schema, random_vectors
+from conftest import interpret, random_ast, random_schema, random_vectors
 from logicood import mln
 from logicood.constraints import compile_constraint, compile_source
 from logicood.errors import SpaceCapError, ValidationError
@@ -17,6 +17,7 @@ from logicood.mln import (
     MlnModel,
     enumerate_space,
     explain,
+    explain_batch,
     fit_weights,
     log_partition,
     log_prob,
@@ -38,6 +39,20 @@ def model(schema, sources, weights):
 def dataset(schema, vectors):
     vectors = np.asarray(vectors, dtype=np.int64)
     return Dataset(schema, vectors, tuple(str(i) for i in range(len(vectors))))
+
+
+def reference_score(m, z) -> float:
+    """-sum_i w_i * phi_i(z) in knowledge-base order, on the independent
+    interpreter."""
+    score = 0.0
+    for c, w in zip(m.constraints, m.weights):
+        score -= float(w) * int(interpret(c.ast, m.schema, z))
+    return score
+
+
+def bits(x) -> bytes:
+    """The float64 bit pattern, so 0.0 and -0.0 differ."""
+    return np.float64(x).tobytes()
 
 
 def random_model(rng, max_concepts=4, max_constraints=6):
@@ -79,7 +94,8 @@ def test_mln_score_batch_matches_scalar(rng):
     rows = random_vectors(rng, m.schema, 200)
     batch = mln_score_batch(m, rows)
     for i in range(200):
-        assert batch[i] == mln_score(m, rows[i])  # bit-exact
+        assert bits(batch[i]) == bits(reference_score(m, rows[i]))
+        assert bits(mln_score(m, rows[i])) == bits(batch[i])
 
 
 def test_score_ignores_partition_cap():
@@ -88,6 +104,40 @@ def test_score_ignores_partition_cap():
     m = MlnModel(schema, (compile_source("b0 -> b1", schema),), np.array([2.0]))
     z = np.zeros(40, dtype=np.int64)
     assert mln_score(m, z) == -2.0
+
+
+def test_model_rejects_constraint_of_another_schema():
+    # p is column 0 of BIN2 but column 1 of QP: a model over BIN2 that read
+    # p from column 1 would score [[1, 0]] as 0 instead of -1.
+    qp = Schema((("q", ("false", "true")), ("p", ("false", "true"))))
+    with pytest.raises(ValidationError, match="another schema"):
+        MlnModel(BIN2, (compile_source("p", qp),), np.array([1.0]))
+    assert mln_score_batch(model(BIN2, ["p"], [1.0]), [[1, 0]]).tolist() == [-1.0]
+
+
+def test_empty_kb_rejects_bad_rows():
+    empty = MlnModel(BIN2, (), np.zeros(0))
+    with pytest.raises(ValidationError, match="rows of shape"):
+        mln_score(empty, [7, 7, 7])
+    with pytest.raises(ValidationError, match="out-of-domain"):
+        mln_score_batch(empty, [[5, -3]])
+    with pytest.raises(ValidationError, match="out-of-domain"):
+        explain(empty, [0, 2])
+    with pytest.raises(ValidationError, match="rows of shape"):
+        satisfaction_matrix(empty, np.zeros((3, 1), dtype=np.int64))
+    assert mln_score(empty, [1, 0]) == 0.0
+
+
+def test_fit_rejects_dataset_of_another_schema():
+    m = model(BIN2, ["p -> q"], [0.0])
+    qp = Schema((("q", ("false", "true")), ("p", ("false", "true"))))
+    wider = Schema((("p", ("a", "b", "c")), ("q", ("false", "true"))))
+    for other in (qp, wider):
+        data = dataset(other, [[1, 0], [2 if other is wider else 0, 1]])
+        with pytest.raises(ValidationError, match="schema differs"):
+            fit_weights(m, data)
+        with pytest.raises(ValidationError, match="schema differs"):
+            nll_and_gradient(m, data)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +454,37 @@ def test_explain_decomposition_exact(rng):
         m = random_model(rng)
         z = random_vectors(rng, m.schema, 1)[0]
         report = explain(m, z)
+        assert bits(report.total_score) == bits(reference_score(m, z))
         assert report.total_score == mln_score(m, z)  # bit-exact
         assert sum(e.contribution for e in report.entries) == report.total_score
         assert [e.constraint_id for e in report.entries] == list(range(len(m.constraints)))
+        for e, c, w in zip(report.entries, m.constraints, m.weights):
+            sat = int(interpret(c.ast, m.schema, z))
+            assert e.satisfied is bool(sat)
+            assert bits(e.contribution) == bits(-float(w) * sat)  # sign of zero too
+
+
+def test_explain_batch_matches_explain(rng):
+    empty = MlnModel(BIN2, (), np.zeros(0))
+    models = [random_model(rng) for _ in range(20)] + [empty]
+    for m in models:
+        rows = random_vectors(rng, m.schema, 25)
+        reports = explain_batch(m, rows)
+        assert len(reports) == len(rows)
+        for report, row in zip(reports, rows):
+            single = explain(m, row)
+            assert type(report.total_score) is float
+            assert bits(report.total_score) == bits(single.total_score)
+            assert len(report.entries) == len(single.entries) == len(m.constraints)
+            for a, b in zip(report.entries, single.entries):
+                assert (a.constraint_id, a.source, a.satisfied) == (
+                    b.constraint_id, b.source, b.satisfied
+                )
+                assert bits(a.weight) == bits(b.weight)
+                assert bits(a.contribution) == bits(b.contribution)
+        totals = [r.total_score for r in reports]
+        assert [bits(t) for t in totals] == [bits(t) for t in mln_score_batch(m, rows)]
+    assert explain_batch(empty, np.zeros((0, 2), dtype=np.int64)) == []
 
 
 def test_explain_all_satisfied():

@@ -128,6 +128,28 @@ def test_dataset_duplicate_ids(schema):
         Dataset(schema, np.zeros((2, 2), dtype=np.int64), ("a", "a"))
 
 
+def test_validate_rows(schema):
+    rows = schema.validate_rows([[2, 1], [0, 0]])
+    assert rows.dtype == np.int64 and rows.tolist() == [[2, 1], [0, 0]]
+    assert schema.validate_rows(np.zeros((0, 2), dtype=np.int32)).shape == (0, 2)
+    for bad in ([0, 1], [[0, 1, 0]], np.zeros((2, 2, 2))):
+        with pytest.raises(ValidationError, match="rows of shape"):
+            schema.validate_rows(bad)
+    # Each column is checked against its own domain size.
+    for bad in ([[3, 0]], [[0, 2]], [[-1, 0]], [[0, 0], [2, -1]]):
+        with pytest.raises(ValidationError, match="out-of-domain"):
+            schema.validate_rows(bad)
+
+
+def test_dataset_checks_rows(schema):
+    data = Dataset(schema, np.array([[2, 1]], dtype=np.int32), ("a",))
+    assert data.vectors.dtype == np.int64
+    with pytest.raises(ValidationError, match="rows of shape"):
+        Dataset(schema, np.zeros((1, 3), dtype=np.int64), ("a",))
+    with pytest.raises(ValidationError, match="out-of-domain"):
+        Dataset(schema, np.array([[0, 2]]), ("a",))
+
+
 def test_dataset_roundtrip(tmp_path, schema, rng):
     n = 50
     vectors = np.stack(

@@ -203,6 +203,15 @@ def test_greedy_validation_errors():
         greedy_search(train, id_only, pool, SearchConfig())
 
 
+def test_greedy_rejects_val_of_another_schema():
+    train = planted_benchmark(seed=7, n=100)
+    pool = generate_candidates(BIN4, GeneratorConfig(max_depth=1))
+    reordered = schema_from_dict({f"c{i}": "binary" for i in (1, 0, 2, 3)})
+    val = Dataset(reordered, train.vectors, train.sample_ids, None, train.is_ood)
+    with pytest.raises(ValidationError, match="schema differs"):
+        greedy_search(train, val, pool, SearchConfig())
+
+
 # ---------------------------------------------------------------------------
 # Greedy search against a naive loop that refits, rescores every validation
 # row and reranks for each candidate
