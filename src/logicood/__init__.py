@@ -16,7 +16,7 @@ Subpackage map:
 
 from .constraints import CompiledConstraint, compile_source, load_constraints, parse
 from .distributions import ScoreDistribution, fit_distribution, survival
-from .fusion import FusedScorer, fuse_batch, fuse_score, threshold
+from .fusion import FusedScorer, fuse_batch, threshold
 from .metrics import EvalResult, auroc, aupr, evaluate_scores, fpr_at_tpr
 from .mln import (
     FitConfig,
@@ -31,14 +31,7 @@ from .mln import (
     mln_score_batch,
     nll_and_gradient,
 )
-from .schema import (
-    Dataset,
-    Schema,
-    load_dataset,
-    load_schema,
-    schema_from_dict,
-    semantic_space_size,
-)
+from .schema import Dataset, Schema, load_dataset, load_schema, schema_from_dict
 from .search import CandidatePool, GeneratorConfig, SearchConfig, generate_candidates, greedy_search
 from .synth import (
     DetectorSpec,

@@ -196,6 +196,8 @@ def cmd_eval(args) -> int:
             raise ValidationError(
                 f"{args.scores}: row {i + 2}: non-numeric score {row[1]!r}"
             ) from None
+        if np.isnan(scores[i]):
+            raise ValidationError(f"{args.scores}: row {i + 2}: NaN score")
     result = metrics.evaluate_scores(data, scores)
     artifacts.write_json(args.out, result.to_json_dict())
     _log(

@@ -8,14 +8,13 @@ at or above tau.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ScoreDistribution, survival
 from .errors import ValidationError
-from .mln import MlnModel, mln_score, mln_score_batch
+from .mln import MlnModel, mln_score_batch
 from .schema import Dataset
 
 
@@ -24,12 +23,6 @@ class FusedScorer:
     model: MlnModel
     distribution: ScoreDistribution
     threshold: float | None = None
-
-
-def fuse_score(scorer: FusedScorer, z, detector_score: float) -> float:
-    if not math.isfinite(detector_score):
-        raise ValidationError(f"non-finite detector score: {detector_score}")
-    return mln_score(scorer.model, z) * survival(scorer.distribution, detector_score)
 
 
 def fuse_batch(scorer: FusedScorer, data: Dataset) -> np.ndarray:

@@ -2,17 +2,18 @@
 
 Scores follow the "higher = more OOD" convention everywhere. AUROC uses
 the Mann-Whitney rank statistic with ties counted one half; AUPR uses
-step interpolation; FPR95 is the ID false-positive rate at the loosest
-threshold reaching 95% true-positive rate on OOD samples.
+step interpolation with tied scores as one step; FPR95 is the ID
+false-positive rate at the loosest threshold reaching 95% true-positive
+rate on OOD samples. Any NaN score makes AUROC and AUPR NaN; FPR95 never
+counts a NaN score as reaching a threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ValidationError
 from .schema import Dataset
@@ -28,39 +29,71 @@ class EvalResult:
     n_ood: int
 
     def to_json_dict(self):
-        return {
-            "auroc": self.auroc,
-            "aupr_id": self.aupr_id,
-            "aupr_ood": self.aupr_ood,
-            "fpr95": self.fpr95,
-            "n_id": self.n_id,
-            "n_ood": self.n_ood,
-        }
+        return asdict(self)
 
 
-def _check_classes(id_scores, ood_scores):
-    id_scores = np.asarray(id_scores, dtype=np.float64)
-    ood_scores = np.asarray(ood_scores, dtype=np.float64)
-    if id_scores.size == 0 or ood_scores.size == 0:
+def _tie_table(scores, id_counts, ood_counts):
+    """The one grouping of equal scores behind every metric: the distinct
+    scores ascending (-0.0 equals 0.0, NaN last) with the ID and OOD row
+    count of each, where scores[k] is held by id_counts[k] ID rows and
+    ood_counts[k] OOD rows."""
+    values, inverse = np.unique(scores, return_inverse=True)
+    ids, oods = (
+        np.bincount(inverse, counts, values.size).astype(np.int64)
+        for counts in (id_counts, ood_counts)
+    )
+    if not ids.any() or not oods.any():
         raise ValidationError("both ID and OOD score lists must be non-empty")
-    return id_scores, ood_scores
+    return values, ids, oods
+
+
+def _row_table(id_scores, ood_scores):
+    id_scores, ood_scores = (np.asarray(s, dtype=np.float64) for s in (id_scores, ood_scores))
+    is_ood = np.repeat([False, True], [id_scores.size, ood_scores.size])
+    return _tie_table(np.concatenate([id_scores, ood_scores]), ~is_ood, is_ood)
+
+
+def _auroc(values, ids, oods) -> float:
+    if np.isnan(values[-1]):
+        return math.nan
+    n_id, n_ood = int(ids.sum()), int(oods.sum())
+    tied = ids + oods
+    below = np.cumsum(tied) - tied
+    # Twice the midrank of a tie block is 2 * below + tied + 1; the rank sum
+    # stays an exact integer.
+    twice_rank_sum = int(oods @ (2 * below + tied + 1))
+    u = twice_rank_sum / 2 - n_ood * (n_ood + 1) / 2.0
+    return float(u / (n_id * n_ood))
+
+
+def _aupr(values, pos, neg) -> float:
+    """AUPR from the positive and negative counts of the tie blocks of
+    `values`, listed from the block ranked first to the block ranked last."""
+    if np.isnan(values[-1]):
+        return math.nan
+    tp = np.cumsum(pos)
+    precision = tp / np.cumsum(pos + neg)
+    recall = tp / tp[-1]
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
+
+
+def _fpr(values, ids, oods, tpr_target) -> float:
+    n_ood = int(oods.sum())
+    k = math.ceil(tpr_target * n_ood)  # need at least k OOD samples >= threshold
+    # The threshold is the (n_ood - k)-th smallest OOD score, NaN sorting last.
+    first = np.searchsorted(np.cumsum(oods), n_ood - k, side="right")
+    reached = ids[first:][~np.isnan(values[first:])]
+    return float(reached.sum() / ids.sum())
 
 
 def auroc(id_scores, ood_scores) -> float:
     """P(score_ood > score_id) + 0.5 * P(tie), via midranks in O(n log n)."""
-    id_scores, ood_scores = _check_classes(id_scores, ood_scores)
-    n_id, n_ood = id_scores.size, ood_scores.size
-    ranks = rankdata(np.concatenate([ood_scores, id_scores]))
-    rank_sum = ranks[:n_ood].sum()
-    u = rank_sum - n_ood * (n_ood + 1) / 2.0
-    return float(u / (n_id * n_ood))
+    return _auroc(*_row_table(id_scores, ood_scores))
 
 
 def auroc_from_counts(scores, id_counts, ood_counts) -> float:
     """auroc over rows grouped by score: scores[k] is held by id_counts[k]
-    ID rows and ood_counts[k] OOD rows; equal scores may repeat.
-
-    Rank sums are kept as exact integers (twice each midrank), so the
+    ID rows and ood_counts[k] OOD rows; equal scores may repeat. The
     result is bit-equal to auroc on the expanded rows.
     """
     scores = np.asarray(scores, dtype=np.float64)
@@ -70,32 +103,15 @@ def auroc_from_counts(scores, id_counts, ood_counts) -> float:
         raise ValidationError("scores and both count arrays must be 1-d of one length")
     if np.any(id_counts < 0) or np.any(ood_counts < 0):
         raise ValidationError("row counts must be >= 0")
-    n_id, n_ood = int(id_counts.sum()), int(ood_counts.sum())
-    if n_id == 0 or n_ood == 0:
-        raise ValidationError("both ID and OOD score lists must be non-empty")
-    if np.isnan(scores[id_counts + ood_counts > 0]).any():
-        return math.nan  # rankdata propagates NaN to every rank
-    order = np.argsort(scores, kind="stable")
-    scores = scores[order]
-    starts = np.flatnonzero(np.append(True, scores[1:] != scores[:-1]))
-    ood = np.add.reduceat(ood_counts[order], starts)
-    tied = np.add.reduceat(id_counts[order], starts) + ood
-    below = np.cumsum(tied) - tied
-    # Twice the midrank of a tie block is 2 * below + tied + 1.
-    twice_rank_sum = int(ood @ (2 * below + tied + 1))
-    u = twice_rank_sum / 2 - n_ood * (n_ood + 1) / 2.0
-    return float(u / (n_id * n_ood))
+    held = id_counts + ood_counts > 0  # a score no row holds takes no part
+    return _auroc(*_tie_table(scores[held], id_counts[held], ood_counts[held]))
 
 
 def fpr_at_tpr(id_scores, ood_scores, tpr_target: float = 0.95) -> float:
     """FPR on ID at the largest threshold with TPR >= tpr_target on OOD."""
     if not 0.0 < tpr_target <= 1.0:
         raise ValidationError("tpr_target must be in (0, 1]")
-    id_scores, ood_scores = _check_classes(id_scores, ood_scores)
-    n_ood = ood_scores.size
-    k = math.ceil(tpr_target * n_ood)  # need at least k OOD samples >= threshold
-    tau = np.sort(ood_scores)[n_ood - k]
-    return float(np.mean(id_scores >= tau))
+    return _fpr(*_row_table(id_scores, ood_scores), tpr_target)
 
 
 def aupr(scores_pos, scores_neg) -> float:
@@ -104,27 +120,8 @@ def aupr(scores_pos, scores_neg) -> float:
     `scores_pos` are the positive class; higher scores must rank positives
     first (negate scores to make ID the positive class).
     """
-    scores_pos, scores_neg = _check_classes(scores_pos, scores_neg)
-    scores = np.concatenate([scores_pos, scores_neg])
-    labels = np.concatenate(
-        [np.ones(scores_pos.size, dtype=bool), np.zeros(scores_neg.size, dtype=bool)]
-    )
-    order = np.argsort(-scores, kind="stable")
-    scores, labels = scores[order], labels[order]
-
-    tp = np.cumsum(labels)
-    predicted = np.arange(1, scores.size + 1)
-    # Evaluate only at the last index of each tied score block.
-    block_end = np.nonzero(np.append(np.diff(scores) != 0, True))[0]
-    precision = tp[block_end] / predicted[block_end]
-    recall = tp[block_end] / scores_pos.size
-
-    area = 0.0
-    prev_recall = 0.0
-    for p, r in zip(precision, recall):
-        area += (r - prev_recall) * p
-        prev_recall = r
-    return float(area)
+    values, neg, pos = _row_table(scores_neg, scores_pos)
+    return _aupr(values, pos[::-1], neg[::-1])
 
 
 def evaluate_scores(data: Dataset, scores) -> EvalResult:
@@ -133,18 +130,13 @@ def evaluate_scores(data: Dataset, scores) -> EvalResult:
         raise ValidationError("dataset lacks the __is_ood column")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(data),):
-        raise ValidationError(
-            f"{scores.size} scores for {len(data)} rows"
-        )
-    id_scores = scores[~data.is_ood]
-    ood_scores = scores[data.is_ood]
-    if id_scores.size == 0 or ood_scores.size == 0:
-        raise ValidationError("dataset must contain both ID and OOD rows")
+        raise ValidationError(f"{scores.size} scores for {len(data)} rows")
+    values, ids, oods = _tie_table(scores, ~data.is_ood, data.is_ood)
     return EvalResult(
-        auroc=auroc(id_scores, ood_scores),
-        aupr_id=aupr(-id_scores, -ood_scores),
-        aupr_ood=aupr(ood_scores, id_scores),
-        fpr95=fpr_at_tpr(id_scores, ood_scores),
-        n_id=int(id_scores.size),
-        n_ood=int(ood_scores.size),
+        auroc=_auroc(values, ids, oods),
+        aupr_id=_aupr(values, ids, oods),
+        aupr_ood=_aupr(values, oods[::-1], ids[::-1]),
+        fpr95=_fpr(values, ids, oods, 0.95),
+        n_id=int(ids.sum()),
+        n_ood=int(oods.sum()),
     )

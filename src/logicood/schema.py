@@ -10,7 +10,6 @@ I/O boundary.
 from __future__ import annotations
 
 import csv
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -112,7 +111,11 @@ class Dataset:
     is_ood: np.ndarray | None = None  # (n,) bool
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", self.schema.validate_rows(self.vectors))
+        # A read-only view: checked once here, the rows are trusted by every
+        # later reader, and the caller's own array stays writable.
+        vectors = self.schema.validate_rows(self.vectors).view()
+        vectors.flags.writeable = False
+        object.__setattr__(self, "vectors", vectors)
         n = self.vectors.shape[0]
         if len(self.sample_ids) != n:
             raise ValidationError("sample_ids length mismatch")
@@ -167,11 +170,6 @@ def save_schema(schema: Schema, path) -> None:
         for name, domain in schema.concepts
     }
     write_json(path, raw)
-
-
-def semantic_space_size(schema: Schema) -> int:
-    """Number of possible worlds: the product of all domain sizes (exact)."""
-    return math.prod(schema.domain_sizes)
 
 
 def load_dataset(path, schema: Schema) -> Dataset:

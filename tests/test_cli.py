@@ -268,8 +268,9 @@ def test_score_bad_weights_file_exit_code(workdir, capsys, text, message):
     [
         ("a,1.0\nb,high\n", "scores.csv: row 3: non-numeric score 'high'"),
         ("a,1.0\nb\n", "scores.csv: row 3 has 1 cells, expected 2"),
+        ("a,nan\nb,1.0\n", "scores.csv: row 2: NaN score"),
     ],
-    ids=["non-numeric-score", "short-row"],
+    ids=["non-numeric-score", "short-row", "nan-score"],
 )
 def test_eval_bad_score_row(workdir, capsys, rows, message):
     (workdir / "labeled.csv").write_text(

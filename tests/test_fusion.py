@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from logicood.constraints import compile_source
 from logicood.distributions import ScoreDistribution, survival
 from logicood.errors import ValidationError
-from logicood.fusion import FusedScorer, fuse_batch, fuse_score, threshold
-from logicood.mln import MlnModel, mln_score_batch
+from logicood.fusion import FusedScorer, fuse_batch, threshold
+from logicood.mln import MlnModel, mln_score, mln_score_batch
 from logicood.schema import Dataset, Schema
 
 BIN2 = Schema((("p", ("false", "true")), ("q", ("false", "true"))))
@@ -31,25 +33,34 @@ def make_data(rng, n=200, with_scores=True):
     )
 
 
-def test_fuse_score_identity_factor():
+def one_world(detector_scores, z=(1, 1)):
+    """Rows that all hold world z, one per detector score."""
+    n = len(detector_scores)
+    return Dataset(
+        BIN2,
+        np.tile(np.asarray(z, dtype=np.int64), (n, 1)),
+        tuple(str(i) for i in range(n)),
+        np.asarray(detector_scores, dtype=np.float64),
+    )
+
+
+def test_fuse_batch_identity_factor():
     scorer = FusedScorer(make_model(), NONE)
-    assert fuse_score(scorer, [1, 1], 123.0) == -3.0
+    assert fuse_batch(scorer, one_world([123.0])).tolist() == [-3.0]
 
 
-def test_fuse_score_halving():
+def test_fuse_batch_halving():
     # survival 0.5 at the Gumbel median ~0.3665
-    import math
-
     median = -math.log(math.log(2))
     scorer = FusedScorer(make_model(), GUMBEL)
-    fused = fuse_score(scorer, [1, 1], median)
-    assert fused == pytest.approx(-1.5)
+    fused = fuse_batch(scorer, one_world([median]))
+    assert fused[0] == pytest.approx(-1.5)
 
 
-def test_fuse_score_non_finite_rejected():
+def test_fuse_batch_non_finite_rejected():
     scorer = FusedScorer(make_model(), GUMBEL)
-    with pytest.raises(ValidationError):
-        fuse_score(scorer, [1, 1], float("nan"))
+    with pytest.raises(ValidationError, match="non-finite detector scores"):
+        fuse_batch(scorer, one_world([0.5, float("nan")]))
 
 
 def test_fuse_batch_matches_scalar_bit_exact(rng):
@@ -57,7 +68,8 @@ def test_fuse_batch_matches_scalar_bit_exact(rng):
     data = make_data(rng, 500)
     fused = fuse_batch(scorer, data)
     for i in range(len(data)):
-        assert fused[i] == fuse_score(scorer, data.vectors[i], data.detector_scores[i])
+        row = mln_score(scorer.model, data.vectors[i])
+        assert fused[i] == row * survival(scorer.distribution, data.detector_scores[i])
 
 
 def test_fuse_batch_requires_detector_column(rng):
@@ -85,8 +97,7 @@ def test_fused_monotone_in_detector_score():
     # Same semantics, negative MLN score: a higher detector score cannot
     # decrease the fused score.
     scorer = FusedScorer(make_model(), GUMBEL)
-    low = fuse_score(scorer, [1, 1], -1.0)
-    high = fuse_score(scorer, [1, 1], 2.0)
+    low, high = fuse_batch(scorer, one_world([-1.0, 2.0]))
     assert high >= low
 
 

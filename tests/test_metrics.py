@@ -3,12 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metrics_reference as reference
 from conftest import aupr_brute, auroc_brute, fpr_at_tpr_brute
 from logicood.errors import ValidationError
 from logicood.metrics import aupr, auroc, auroc_from_counts, evaluate_scores, fpr_at_tpr
 from logicood.schema import Dataset, Schema
 
 BIN1 = Schema((("p", ("false", "true")),))
+
+# Score kinds for the brute-force oracles: tenths force ties; the second
+# kind ties signed zeros and infinities of both signs.
+KINDS = st.sampled_from(["tenths", "signed-zero-inf"])
+SIGNED_ZERO_INF = [-np.inf, -0.0, 0.0, 1.5, np.inf]
+
+
+def draw_scores(r, kind, loc, high):
+    size = r.integers(1, high)
+    if kind == "tenths":
+        return np.round(r.normal(loc, size=size), 1)
+    return r.choice(SIGNED_ZERO_INF, size=size)
 
 
 def labeled(scores, flags):
@@ -47,12 +60,12 @@ def test_auroc_empty_class():
         auroc([], [1.0])
 
 
-@given(st.integers(0, 5000))
+@given(st.integers(0, 5000), KINDS)
 @settings(max_examples=60, deadline=None)
-def test_auroc_matches_bruteforce(seed):
+def test_auroc_matches_bruteforce(seed, kind):
     r = np.random.default_rng(seed)
-    ids = np.round(r.normal(size=r.integers(1, 40)), 1)  # rounding forces ties
-    oods = np.round(r.normal(0.5, size=r.integers(1, 40)), 1)
+    ids = draw_scores(r, kind, 0.0, 40)
+    oods = draw_scores(r, kind, 0.5, 40)
     assert auroc(ids, oods) == pytest.approx(auroc_brute(ids, oods), abs=1e-12)
 
 
@@ -135,12 +148,12 @@ def test_fpr95_single_ood_sample():
     assert fpr_at_tpr([0.0, 1.0, 2.0, 3.0], [1.5]) == 0.5
 
 
-@given(st.integers(0, 5000))
+@given(st.integers(0, 5000), KINDS)
 @settings(max_examples=60, deadline=None)
-def test_fpr_matches_bruteforce(seed):
+def test_fpr_matches_bruteforce(seed, kind):
     r = np.random.default_rng(seed)
-    ids = np.round(r.normal(size=r.integers(1, 60)), 1)
-    oods = np.round(r.normal(0.3, size=r.integers(1, 60)), 1)
+    ids = draw_scores(r, kind, 0.0, 60)
+    oods = draw_scores(r, kind, 0.3, 60)
     target = r.choice([0.5, 0.8, 0.95, 1.0])
     assert fpr_at_tpr(ids, oods, target) == fpr_at_tpr_brute(ids, oods, target)
 
@@ -169,13 +182,57 @@ def test_aupr_random_scorer_near_prevalence(rng):
     assert aupr(pos, neg) == pytest.approx(0.5, abs=0.02)
 
 
-@given(st.integers(0, 5000))
+@given(st.integers(0, 5000), KINDS)
 @settings(max_examples=60, deadline=None)
-def test_aupr_matches_bruteforce(seed):
+def test_aupr_matches_bruteforce(seed, kind):
     r = np.random.default_rng(seed)
-    pos = np.round(r.normal(0.3, size=r.integers(1, 50)), 1)
-    neg = np.round(r.normal(size=r.integers(1, 50)), 1)
+    pos = draw_scores(r, kind, 0.3, 50)
+    neg = draw_scores(r, kind, 0.0, 50)
     assert aupr(pos, neg) == pytest.approx(aupr_brute(pos, neg), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Bit-equality with the metrics computed before the tie-block table
+
+REFERENCE_VALUES = {
+    "integers": [-2.0, -1.0, 0.0, 1.0, 2.0],
+    "signed-zero": [-1.5, -0.0, 0.0, 1.5],
+    "signed-zero-inf": SIGNED_ZERO_INF,
+    "nan": [-1.0, 0.0, 1.0, np.nan],
+}
+
+
+def same(got, want):
+    """Equal bits, the sign of zero included; NaN equals NaN."""
+    return repr(got) == repr(want)
+
+
+@given(st.integers(0, 5000), st.sampled_from(sorted(REFERENCE_VALUES)))
+@settings(max_examples=120, deadline=None)
+def test_metrics_bit_equal_to_reference(seed, kind):
+    r = np.random.default_rng(seed)
+    high = r.choice([4, 200])  # short lists often hold an untied infinity
+    ids = r.choice(REFERENCE_VALUES[kind], size=r.integers(1, high))
+    oods = r.choice(REFERENCE_VALUES[kind], size=r.integers(1, high))
+    target = r.choice([0.5, 0.8, 0.95, 1.0])
+    assert same(auroc(ids, oods), reference.auroc(ids, oods))
+    assert same(fpr_at_tpr(ids, oods, target), reference.fpr_at_tpr(ids, oods, target))
+    both = np.concatenate([ids, oods])
+    for pos, neg in ((oods, ids), (-ids, -oods)):
+        if np.isnan(both).any():  # the reference returns a number
+            assert np.isnan(aupr(pos, neg))
+        elif any((both == v).sum() > 1 for v in (np.inf, -np.inf)):
+            # The reference splits tied infinities into one step per row.
+            assert aupr(pos, neg) == pytest.approx(aupr_brute(pos, neg), abs=1e-12)
+        else:
+            assert same(aupr(pos, neg), reference.aupr(pos, neg))
+    # evaluate_scores reads one shared table and equals the four functions.
+    data, scores = labeled(both, np.repeat([False, True], [ids.size, oods.size]))
+    result = evaluate_scores(data, scores)
+    assert same(result.auroc, auroc(ids, oods))
+    assert same(result.aupr_id, aupr(-ids, -oods))
+    assert same(result.aupr_ood, aupr(oods, ids))
+    assert same(result.fpr95, fpr_at_tpr(ids, oods))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from logicood.mln import (
     nll_and_gradient,
     satisfaction_matrix,
 )
-from logicood.schema import Dataset, Schema, semantic_space_size
+from logicood.schema import Dataset, Schema
 
 BIN2 = Schema((("p", ("false", "true")), ("q", ("false", "true"))))
 
@@ -314,17 +314,17 @@ def test_empty_kb_log_partition_is_log_size(rng):
     for _ in range(10):
         schema = random_schema(rng)
         m = MlnModel(schema, (), np.zeros(0))
-        assert log_partition(m) == math.log(semantic_space_size(schema))
+        assert log_partition(m) == math.log(math.prod(schema.domain_sizes))
         data = dataset(schema, random_vectors(rng, schema, 5))
         nll, grad = nll_and_gradient(m, data)
-        assert nll == math.log(semantic_space_size(schema))
+        assert nll == math.log(math.prod(schema.domain_sizes))
         assert grad.shape == (0,)
 
 
 def test_fit_beyond_full_space_cap_closed_form(rng):
     # 2^25 worlds exceed the default cap; the KB mentions 4 concepts.
     schema = Schema(tuple((f"c{i}", ("false", "true")) for i in range(25)))
-    assert semantic_space_size(schema) > mln.DEFAULT_SPACE_CAP
+    assert math.prod(schema.domain_sizes) > mln.DEFAULT_SPACE_CAP
     m = model(schema, ["c0 -> c1", "c2 xor c3"], [0.0, 0.0])
     data = dataset(schema, random_vectors(rng, schema, 500))
     fitted = fit_weights(m, data).model

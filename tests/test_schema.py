@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from logicood.schema import (
     load_dataset,
     load_schema,
     save_dataset,
-    semantic_space_size,
 )
 
 
@@ -60,11 +60,11 @@ def test_schema_bad_json(tmp_path):
 
 def test_semantic_space_size():
     schema = Schema((("a", ("x", "y", "z")), ("b", ("f", "t"))))
-    assert semantic_space_size(schema) == 6
-    assert semantic_space_size(Schema((("p", ("false", "true")),))) == 2
+    assert math.prod(schema.domain_sizes) == 6
+    assert math.prod(Schema((("p", ("false", "true")),)).domain_sizes) == 2
     # Python ints are exact: 64 binary concepts must not wrap.
     big = Schema(tuple((f"b{i}", ("false", "true")) for i in range(64)))
-    assert semantic_space_size(big) == 2**64
+    assert math.prod(big.domain_sizes) == 2**64
 
 
 @pytest.fixture
@@ -150,6 +150,16 @@ def test_dataset_checks_rows(schema):
         Dataset(schema, np.array([[0, 2]]), ("a",))
 
 
+def test_dataset_vectors_are_a_read_only_view(schema):
+    vectors = np.array([[2, 1], [0, 0]], dtype=np.int64)
+    data = Dataset(schema, vectors, ("a", "b"))
+    with pytest.raises(ValueError, match="read-only"):
+        data.vectors[0, 0] = 5
+    assert np.shares_memory(data.vectors, vectors)  # no copy of the rows
+    vectors[0, 0] = 1
+    assert vectors.flags.writeable
+
+
 def test_dataset_roundtrip(tmp_path, schema, rng):
     n = 50
     vectors = np.stack(
@@ -176,4 +186,4 @@ def test_space_size_matches_enumeration(rng):
 
     for _ in range(20):
         schema = random_schema(rng)
-        assert semantic_space_size(schema) == enumerate_space(schema).shape[0]
+        assert math.prod(schema.domain_sizes) == enumerate_space(schema).shape[0]
