@@ -26,7 +26,6 @@ from .mln import (
     explain_batch,
     fit_weights,
     log_partition,
-    log_prob,
     mln_score,
     mln_score_batch,
     nll_and_gradient,

@@ -149,7 +149,7 @@ def cmd_fuse(args) -> int:
             f"{args.train}: fitting the {family} family needs __detector_score"
         )
     dist = distributions.fit_distribution(reference.detector_scores, family)
-    scorer = fusion.FusedScorer(model, dist, args.threshold)
+    scorer = fusion.FusedScorer(model, dist)
     if family == "none" and data.detector_scores is None:
         fused = mln.mln_score_batch(model, data.vectors)
     else:

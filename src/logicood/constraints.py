@@ -5,27 +5,26 @@ atoms, written e.g.
 
     class=stop_sign -> color=red and shape=octagon
 
-Precedence (tightest first): not, and, or, xor, ->; implication is
-right-associative. Bare identifiers abbreviate binary atoms
-(`is_octagon` means `is_octagon=true`). Compilation resolves atoms to
-(concept index, value index) pairs against a schema and produces a
-vectorized evaluator over matrices of domain indices.
+The binary connectives, their binding order and their truth functions
+are the CONNECTIVES table; `not` binds tighter than any of them. Bare
+identifiers abbreviate binary atoms (`is_octagon` means
+`is_octagon=true`). Compilation resolves atoms to (concept index, value
+index) pairs against a schema and produces a vectorized evaluator over
+matrices of domain indices.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .artifacts import write_text
 from .errors import CompileError, ParseError
 from .schema import Schema
-
-KEYWORDS = frozenset({"and", "or", "xor", "not"})
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +69,39 @@ class Implies:
 Node = Atom | Not | And | Or | Xor | Implies
 
 
-def depth(node: Node) -> int:
-    if isinstance(node, Atom):
-        return 1
-    if isinstance(node, Not):
-        return 1 + depth(node.child)
-    return 1 + max(depth(node.left), depth(node.right))
+@dataclass(frozen=True)
+class Connective:
+    """A binary connective: its token, its AST class and its truth function
+    on boolean arrays."""
+
+    token: str
+    node: type
+    truth: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    right_assoc: bool = False
+
+
+# The binary connectives, loosest binding first; `not` binds tighter than all.
+CONNECTIVES = (
+    Connective("->", Implies, lambda a, b: ~a | b, right_assoc=True),
+    Connective("xor", Xor, lambda a, b: a ^ b),
+    Connective("or", Or, lambda a, b: a | b),
+    Connective("and", And, lambda a, b: a & b),
+)
+_CONNECTIVE_OF = {c.node: c for c in CONNECTIVES}
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 
+KEYWORDS = frozenset({"not", *(c.token for c in CONNECTIVES)})
+# Identifiers, and the connective tokens that are not words (->).
+_SYMBOLS = [re.escape(k) for k in sorted(KEYWORDS) if not k.isidentifier()]
+_TOKEN_RE = re.compile("|".join([*_SYMBOLS, "[A-Za-z_][A-Za-z0-9_]*"]))
+
 _TOK_IDENT = "IDENT"
 _TOK_EQ = "="
 _TOK_LPAREN = "("
 _TOK_RPAREN = ")"
-_TOK_ARROW = "->"
 _TOK_EOF = "EOF"
 
 
@@ -105,11 +121,8 @@ def _tokenize(source: str):
         elif ch == "=":
             tokens.append((_TOK_EQ, "=", i))
             i += 1
-        elif source.startswith("->", i):
-            tokens.append((_TOK_ARROW, "->", i))
-            i += 2
         else:
-            m = _WORD_RE.match(source, i)
+            m = _TOKEN_RE.match(source, i)
             if not m:
                 raise ParseError(f"unexpected character {ch!r}", i, source)
             word = m.group(0)
@@ -151,54 +164,34 @@ class _Parser:
     def parse(self) -> Node:
         if self.peek()[0] == _TOK_EOF:
             raise ParseError("empty constraint", 0, self.source)
-        node = self.impl()
+        node = self.expr()
         tok = self.peek()
         if tok[0] != _TOK_EOF:
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2], self.source)
         return node
 
-    def impl(self) -> Node:
-        parts = [self.xor()]
-        while self.peek()[0] == _TOK_ARROW:
+    def expr(self, level: int = 0) -> Node:
+        """A chain of CONNECTIVES[level] over operands that bind tighter;
+        past the last level, a negation or an atom."""
+        if level == len(CONNECTIVES):
+            if self.peek()[0] == "not":
+                self.advance()
+                return Not(self.expr(level))
+            return self.atom()
+        conn = CONNECTIVES[level]
+        parts = [self.expr(level + 1)]
+        while self.peek()[0] == conn.token:
             self.advance()
-            parts.append(self.xor())
-        node = parts[-1]
-        for left in reversed(parts[:-1]):  # right-associative
-            node = Implies(left, node)
-        return node
-
-    def xor(self) -> Node:
-        node = self.disj()
-        while self.peek()[0] == "xor":
-            self.advance()
-            node = Xor(node, self.disj())
-        return node
-
-    def disj(self) -> Node:
-        node = self.conj()
-        while self.peek()[0] == "or":
-            self.advance()
-            node = Or(node, self.conj())
-        return node
-
-    def conj(self) -> Node:
-        node = self.unary()
-        while self.peek()[0] == "and":
-            self.advance()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        if self.peek()[0] == "not":
-            self.advance()
-            return Not(self.unary())
-        return self.atom()
+            parts.append(self.expr(level + 1))
+        if conn.right_assoc:
+            return reduce(lambda right, left: conn.node(left, right), reversed(parts))
+        return reduce(conn.node, parts)
 
     def atom(self) -> Node:
         tok = self.peek()
         if tok[0] == _TOK_LPAREN:
             self.advance()
-            node = self.impl()
+            node = self.expr()
             self.expect(_TOK_RPAREN)
             return node
         if tok[0] != _TOK_IDENT:
@@ -223,7 +216,9 @@ def parse(source: str) -> Node:
 # ---------------------------------------------------------------------------
 # Pretty-printer (canonical form; parse(print(ast)) == ast)
 
-_PREC = {Implies: 1, Xor: 2, Or: 3, And: 4, Not: 5, Atom: 6}
+# Binding strength: the connectives in table order, then not, then atoms.
+_PREC = {c.node: level for level, c in enumerate(CONNECTIVES, start=1)}
+_PREC |= {Not: len(_PREC) + 1, Atom: len(_PREC) + 2}
 
 
 def pretty(node: Node) -> str:
@@ -237,16 +232,16 @@ def _pretty(node: Node, parent_prec: int) -> str:
     elif isinstance(node, Not):
         text = f"not {_pretty(node.child, prec)}"
     else:
-        op = {And: "and", Or: "or", Xor: "xor", Implies: "->"}[type(node)]
-        # Left child of a right-associative -> needs parens at equal precedence;
-        # left-associative operators need them on the right instead.
-        if isinstance(node, Implies):
+        conn = _CONNECTIVE_OF[type(node)]
+        # The left child of a right-associative connective needs parens at
+        # equal precedence; left-associative ones need them on the right.
+        if conn.right_assoc:
             left = _pretty(node.left, prec + 1)
             right = _pretty(node.right, prec)
         else:
             left = _pretty(node.left, prec)
             right = _pretty(node.right, prec + 1)
-        text = f"{left} {op} {right}"
+        text = f"{left} {conn.token} {right}"
     if prec < parent_prec:
         return f"({text})"
     return text
@@ -308,15 +303,9 @@ def _eval_batch(node: Node, atoms, rows: np.ndarray) -> np.ndarray:
         return rows[:, ci] == vi
     if isinstance(node, Not):
         return ~_eval_batch(node.child, atoms, rows)
-    a = _eval_batch(node.left, atoms, rows)
-    b = _eval_batch(node.right, atoms, rows)
-    if isinstance(node, And):
-        return a & b
-    if isinstance(node, Or):
-        return a | b
-    if isinstance(node, Xor):
-        return a ^ b
-    return ~a | b  # Implies
+    return _CONNECTIVE_OF[type(node)].truth(
+        _eval_batch(node.left, atoms, rows), _eval_batch(node.right, atoms, rows)
+    )
 
 
 def compile_constraint(

@@ -10,7 +10,7 @@ available for ablations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import optimize, stats as sps
@@ -216,11 +216,6 @@ def quantile(d: ScoreDistribution, u) -> np.ndarray:
     return np.asarray(_frozen(d).ppf(u), dtype=np.float64)
 
 
-def sample(d: ScoreDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sampling; deterministic given the generator state."""
-    return quantile(d, rng.random(n))
-
-
 # ---------------------------------------------------------------------------
 # Diagnostics
 
@@ -231,38 +226,20 @@ class FitDiagnostics:
     log_likelihood: float | None
     ks_statistic: float | None
     n_samples: int
-    histogram_edges: tuple[float, ...]
-    histogram_counts: tuple[int, ...]
     note: str = ""
 
     def to_json_dict(self):
-        return {
-            "family": self.family,
-            "log_likelihood": self.log_likelihood,
-            "ks_statistic": self.ks_statistic,
-            "n_samples": self.n_samples,
-            "note": self.note,
-        }
-
-    def histogram_csv(self) -> str:
-        lines = ["bin_left,bin_right,count"]
-        for left, right, count in zip(
-            self.histogram_edges[:-1], self.histogram_edges[1:], self.histogram_counts
-        ):
-            lines.append(f"{left!r},{right!r},{count}")
-        return "\n".join(lines) + "\n"
+        return asdict(self)
 
 
-def fit_diagnostics(d: ScoreDistribution, scores, bins: int = 50) -> FitDiagnostics:
-    """Log-likelihood, KS statistic vs the empirical CDF, and a histogram."""
+def fit_diagnostics(d: ScoreDistribution, scores) -> FitDiagnostics:
+    """Log-likelihood and KS statistic vs the empirical CDF."""
     x = np.asarray(scores, dtype=np.float64)
     if x.size == 0:
         raise ValidationError("diagnostics need a non-empty score list")
-    counts, edges = np.histogram(x, bins=bins)
     if d.family == "none":
         return FitDiagnostics(
-            "none", None, None, x.size, tuple(edges), tuple(int(c) for c in counts),
-            note="normalization disabled; no distribution fitted",
+            "none", None, None, x.size, note="normalization disabled; no distribution fitted"
         )
     frozen = _frozen(d)
     ll = float(np.sum(frozen.logpdf(x)))
@@ -272,9 +249,7 @@ def fit_diagnostics(d: ScoreDistribution, scores, bins: int = 50) -> FitDiagnost
     upper = np.arange(1, n + 1) / n - model_cdf
     lower = model_cdf - np.arange(0, n) / n
     ks = float(max(upper.max(), lower.max()))
-    return FitDiagnostics(
-        d.family, ll, ks, n, tuple(edges), tuple(int(c) for c in counts)
-    )
+    return FitDiagnostics(d.family, ll, ks, n)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .schema import Dataset
 class FusedScorer:
     model: MlnModel
     distribution: ScoreDistribution
-    threshold: float | None = None
 
 
 def fuse_batch(scorer: FusedScorer, data: Dataset) -> np.ndarray:

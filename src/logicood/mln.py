@@ -199,11 +199,6 @@ def log_partition(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> float:
     return float(_logsumexp(phi @ model.weights)) + log_free
 
 
-def log_prob(model: MlnModel, z, space_cap: int = DEFAULT_SPACE_CAP) -> float:
-    """Exact log-probability of one possible world."""
-    return -mln_score(model, z) - log_partition(model, space_cap)
-
-
 @dataclass(frozen=True)
 class _SufficientStats:
     """Everything NLL needs after one pass over data and space."""

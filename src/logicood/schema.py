@@ -124,6 +124,8 @@ class Dataset:
         for arr, name in ((self.detector_scores, COL_DETECTOR), (self.is_ood, COL_OOD)):
             if arr is not None and arr.shape != (n,):
                 raise ValidationError(f"{name} column length mismatch")
+        if self.is_ood is not None and self.is_ood.dtype != np.bool_:
+            raise ValidationError(f"{COL_OOD} column must be boolean, not {self.is_ood.dtype}")
 
     def __len__(self) -> int:
         return self.vectors.shape[0]

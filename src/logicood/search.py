@@ -15,24 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import (
-    And,
-    Atom,
-    CompiledConstraint,
-    Implies,
-    Node,
-    Not,
-    Or,
-    Xor,
-    compile_constraint,
-    pretty,
-)
+from .constraints import CONNECTIVES, Atom, CompiledConstraint, Node, Not, compile_constraint, pretty
 from .errors import NumericalError, ValidationError
 from .metrics import auroc_from_counts
 from .mln import FitConfig, MlnModel, enumerate_space, fit_weights, scores_from_columns
 from .schema import Dataset, Schema, id_subset
 
-_CONNECTIVES = {"->": Implies, "and": And, "or": Or, "xor": Xor}
+_CONNECTIVES = {c.token: c.node for c in CONNECTIVES}
 
 
 @dataclass(frozen=True)
@@ -59,9 +48,6 @@ class CandidatePool:
 
     def __len__(self):
         return len(self.candidates)
-
-    def sources(self):
-        return [pretty(c) for c in self.candidates]
 
 
 def _truth_signature(ast: Node, schema: Schema, worlds) -> bytes:

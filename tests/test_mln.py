@@ -20,7 +20,6 @@ from logicood.mln import (
     explain_batch,
     fit_weights,
     log_partition,
-    log_prob,
     mln_score,
     mln_score_batch,
     nll_and_gradient,
@@ -199,13 +198,15 @@ def test_log_prob_logistic_form():
     schema = Schema((("p", ("false", "true")),))
     w = 1.3
     m = model(schema, ["p"], [w])
-    assert math.exp(log_prob(m, [1])) == pytest.approx(math.exp(w) / (1 + math.exp(w)))
+    p_true = math.exp(-mln_score(m, [1]) - log_partition(m))
+    assert p_true == pytest.approx(math.exp(w) / (1 + math.exp(w)))
 
 
 def test_probabilities_sum_to_one(rng):
     for _ in range(20):
         m = random_model(rng)
-        total = sum(math.exp(log_prob(m, z)) for z in enumerate_space(m.schema))
+        log_z = log_partition(m)
+        total = sum(math.exp(-mln_score(m, z) - log_z) for z in enumerate_space(m.schema))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -214,7 +215,8 @@ def test_rank_preservation(rng):
     m = random_model(rng)
     rows = random_vectors(rng, m.schema, 50)
     scores = mln_score_batch(m, rows)
-    neg_probs = np.array([-math.exp(log_prob(m, z)) for z in rows])
+    log_z = log_partition(m)
+    neg_probs = np.array([-math.exp(-mln_score(m, z) - log_z) for z in rows])
     assert np.array_equal(np.argsort(scores, kind="stable"), np.argsort(neg_probs, kind="stable"))
 
 

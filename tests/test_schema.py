@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from logicood.errors import ValidationError
+from logicood.metrics import evaluate_scores
 from logicood.mln import enumerate_space
 from logicood.schema import (
     Dataset,
     Schema,
+    id_subset,
     load_dataset,
     load_schema,
     save_dataset,
+    schema_from_dict,
 )
 
 
@@ -158,6 +161,21 @@ def test_dataset_vectors_are_a_read_only_view(schema):
     assert np.shares_memory(data.vectors, vectors)  # no copy of the rows
     vectors[0, 0] = 1
     assert vectors.flags.writeable
+
+
+def test_dataset_rejects_non_boolean_is_ood():
+    # 0/1 integer flags negate to -1/-2 under ~, which silently broke the
+    # metrics and the ID subset; they are refused, not coerced.
+    binary = schema_from_dict({"p": "binary"})
+    vectors = np.zeros((4, 1), dtype=np.int64)
+    ids = ("a", "b", "c", "d")
+    with pytest.raises(ValidationError, match="__is_ood column must be boolean"):
+        Dataset(binary, vectors, ids, None, np.array([0, 0, 1, 1]))
+    data = Dataset(binary, vectors, ids, None, np.array([0, 0, 1, 1]) == 1)
+    result = evaluate_scores(data, np.array([0.0, 0.1, 5.0, 6.0]))
+    assert (result.auroc, result.n_id, result.n_ood) == (1.0, 2, 2)
+    assert (result.aupr_id, result.aupr_ood) == (1.0, 1.0)
+    assert id_subset(data).sample_ids == ("a", "b")
 
 
 def test_dataset_roundtrip(tmp_path, schema, rng):

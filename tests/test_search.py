@@ -32,13 +32,14 @@ def test_pool_two_concepts_depth2():
     pool = generate_candidates(BIN2, GeneratorConfig(max_depth=2))
     # 4 literals + 8 implications deduped by contrapositive to 4
     assert len(pool) == 8
-    assert pool.sources()[:4] == ["p=true", "not p=true", "q=true", "not q=true"]
+    sources = [pretty(c) for c in pool.candidates]
+    assert sources[:4] == ["p=true", "not p=true", "q=true", "not q=true"]
 
 
 def test_pool_depth1_single_concept():
     schema = schema_from_dict({"p": "binary"})
     pool = generate_candidates(schema, GeneratorConfig(max_depth=1))
-    assert pool.sources() == ["p=true", "not p=true"]
+    assert [pretty(c) for c in pool.candidates] == ["p=true", "not p=true"]
 
 
 def test_pool_size_formula_14_concepts():
@@ -60,7 +61,7 @@ def test_pool_no_logical_duplicates():
 
 def test_pool_contrapositive_keeps_positive_antecedent():
     pool = generate_candidates(BIN2, GeneratorConfig(max_depth=2))
-    sources = pool.sources()
+    sources = [pretty(c) for c in pool.candidates]
     assert "p=true -> q=true" in sources
     assert "not q=true -> not p=true" not in sources
 
@@ -69,8 +70,10 @@ def test_pool_depth3_extends():
     pool2 = generate_candidates(BIN4, GeneratorConfig(max_depth=2))
     pool3 = generate_candidates(BIN4, GeneratorConfig(max_depth=3))
     assert len(pool3) > len(pool2)
-    assert pool3.sources()[: len(pool2)] == pool2.sources()
-    assert any("->" in s and s.count("->") == 2 or "(" in s for s in pool3.sources())
+    sources2 = [pretty(c) for c in pool2.candidates]
+    sources3 = [pretty(c) for c in pool3.candidates]
+    assert sources3[: len(pool2)] == sources2
+    assert any("->" in s and s.count("->") == 2 or "(" in s for s in sources3)
 
 
 def test_pool_for_concept_subset_matches_sub_schema_pool():
@@ -111,7 +114,7 @@ def test_pool_rejects_empty_selection():
 def test_pool_determinism():
     a = generate_candidates(BIN4, GeneratorConfig(max_depth=2))
     b = generate_candidates(BIN4, GeneratorConfig(max_depth=2))
-    assert a.sources() == b.sources()
+    assert [pretty(c) for c in a.candidates] == [pretty(c) for c in b.candidates]
 
 
 # ---------------------------------------------------------------------------
