@@ -210,7 +210,10 @@ class _Parser:
 
 def parse(source: str) -> Node:
     """Parse one constraint; raises ParseError with a character offset."""
-    return _Parser(source).parse()
+    try:
+        return _Parser(source).parse()
+    except RecursionError:
+        raise ParseError("constraint nests too deeply to parse", 0, source) from None
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +252,11 @@ def _pretty(node: Node, parent_prec: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Compiler
+
+# Deepest tree that compiles, counting an atom as one level. Resolution,
+# evaluation and printing recurse once per level, and Python's default
+# limit of 1000 frames must leave room for their callers.
+MAX_DEPTH = 400
 
 
 @dataclass(frozen=True)
@@ -312,10 +320,22 @@ def compile_constraint(
     ast: Node, schema: Schema, source: str | None = None, constraint_id: int = 0
 ) -> CompiledConstraint:
     """Resolve all atoms against the schema; bare atoms become =true."""
+    depth, level = 0, [ast]
+    while level:  # breadth first: a deep tree must not exhaust the stack here
+        depth += 1
+        level = [child for node in level for child in _children(node)]
+    if depth > MAX_DEPTH:
+        raise CompileError(f"constraint is {depth} levels deep; at most {MAX_DEPTH} compile")
     resolved = _resolve_ast(ast, schema)
     if source is None:
         source = pretty(resolved)
     return CompiledConstraint(resolved, source, schema, constraint_id)
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, Atom):
+        return ()
+    return (node.child,) if isinstance(node, Not) else (node.left, node.right)
 
 
 def _resolve_ast(node: Node, schema: Schema) -> Node:

@@ -19,7 +19,16 @@ from scipy.special import gamma as gamma_fn
 from .artifacts import read_json, write_json
 from .errors import NumericalError, ValidationError
 
-FAMILIES = ("gev", "uniform", "normal", "generalized_normal", "lognormal", "none")
+# Each family's parameter names; a ScoreDistribution holds exactly these.
+PARAMS = {
+    "gev": ("location", "scale", "shape"),
+    "uniform": ("a", "b"),
+    "normal": ("mean", "std"),
+    "generalized_normal": ("location", "scale", "shape"),
+    "lognormal": ("log_mean", "log_std"),
+    "none": (),
+}
+FAMILIES = tuple(PARAMS)
 
 MIN_PARAMETRIC_SAMPLES = 20
 _GUMBEL_SHAPE_EPS = 1e-6  # |shape| below this uses the Gumbel limit
@@ -36,6 +45,11 @@ class ScoreDistribution:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
+        names = PARAMS[self.family]
+        if set(self.params) != set(names):
+            raise ValidationError(
+                f"{self.family}: params must be {list(names)}, got {list(self.params)}"
+            )
         for key in ("scale", "std", "log_std"):
             if key in self.params and self.params[key] <= 0:
                 raise ValidationError(f"{self.family}: {key} must be positive")
@@ -264,5 +278,5 @@ def load_distribution(path) -> ScoreDistribution:
     raw = read_json(path)
     try:
         return ScoreDistribution(raw["family"], dict(raw["params"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed distribution file: {exc}") from exc

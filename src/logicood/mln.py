@@ -164,14 +164,32 @@ def satisfaction_matrix(model: MlnModel, rows) -> np.ndarray:
     return phi
 
 
-def _mentioned_worlds(model: MlnModel, space_cap: int):
-    """The mentioned concepts (ascending schema indices), their enumerated
-    worlds, and log of the number of assignments to all other concepts."""
-    concepts = sorted({ci for c in model.constraints for ci in c.concept_indices})
-    worlds = enumerate_space(model.schema, space_cap, concepts)
+@dataclass(frozen=True)
+class WorldTable:
+    """The worlds of the concepts a knowledge base mentions, enumerated once
+    per fit: log Z, the fit's data counts and the search's validation
+    AUROC all read this one table."""
+
+    concepts: tuple[int, ...]  # mentioned schema indices, ascending
+    sizes: tuple[int, ...]  # their domain sizes
+    phi: np.ndarray  # (worlds, M) satisfaction of each constraint per world
+    log_free: float  # log of the number of assignments to all other concepts
+
+    def codes(self, columns: np.ndarray) -> np.ndarray:
+        """World index, in enumerate_space's order, of each row of a checked
+        index matrix given as its (n_concepts, n) transpose."""
+        if not self.concepts:
+            return np.zeros(columns.shape[1], dtype=np.intp)
+        return np.ravel_multi_index(tuple(columns[ci] for ci in self.concepts), self.sizes)
+
+
+def world_table(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> WorldTable:
+    """Enumerate the worlds of the concepts the model mentions, under the cap."""
+    concepts = tuple(sorted({ci for c in model.constraints for ci in c.concept_indices}))
     sizes = model.schema.domain_sizes
     free = math.prod(s for ci, s in enumerate(sizes) if ci not in concepts)
-    return concepts, worlds, math.log(free)
+    phi = satisfaction_matrix(model, enumerate_space(model.schema, space_cap, concepts))
+    return WorldTable(concepts, tuple(sizes[ci] for ci in concepts), phi, math.log(free))
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -194,31 +212,29 @@ def _logsumexp(a: np.ndarray) -> np.float64:
 def log_partition(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> float:
     """log sum_z exp(sum_i w_i phi_i(z)), via log-sum-exp over the mentioned
     concepts' worlds plus the log count of the rest."""
-    _, worlds, log_free = _mentioned_worlds(model, space_cap)
-    phi = satisfaction_matrix(model, worlds)
-    return float(_logsumexp(phi @ model.weights)) + log_free
+    worlds = world_table(model, space_cap)
+    return float(_logsumexp(worlds.phi @ model.weights)) + worlds.log_free
 
 
 @dataclass(frozen=True)
 class _SufficientStats:
     """Everything NLL needs after one pass over data and space."""
 
-    phi_worlds: np.ndarray  # (|mentioned worlds|, M)
+    worlds: WorldTable
     data_means: np.ndarray  # (M,) empirical satisfaction rates
-    log_free: float  # log Z over all worlds minus log Z over mentioned ones
 
     def nll(self, w: np.ndarray) -> float:
-        return float(_logsumexp(self.phi_worlds @ w) + self.log_free - self.data_means @ w)
+        return float(_logsumexp(self.worlds.phi @ w) + self.worlds.log_free - self.data_means @ w)
 
     def nll_grad(self, w: np.ndarray):
-        energies = self.phi_worlds @ w
+        energies = self.worlds.phi @ w
         log_z = _logsumexp(energies)
         # Normalized over the mentioned worlds: each unmentioned assignment
         # repeats the same distribution, so the expectations are unchanged.
         probs = np.exp(energies - log_z)
-        model_means = probs @ self.phi_worlds
+        model_means = probs @ self.worlds.phi
         return (
-            float(log_z + self.log_free - self.data_means @ w),
+            float(log_z + self.worlds.log_free - self.data_means @ w),
             model_means - self.data_means,
         )
 
@@ -228,17 +244,11 @@ def _stats(model: MlnModel, data: Dataset, space_cap: int) -> _SufficientStats:
         raise ValidationError("dataset schema differs from the model's")
     if len(data) == 0:
         raise ValidationError("cannot fit on an empty dataset")
-    concepts, worlds, log_free = _mentioned_worlds(model, space_cap)
-    phi_worlds = satisfaction_matrix(model, worlds)
+    worlds = world_table(model, space_cap)
     # Counting data rows per mentioned world keeps every sum an exact
     # integer, so the means equal satisfaction_matrix(data).mean(axis=0).
-    if concepts:
-        sizes = [model.schema.domain_sizes[ci] for ci in concepts]
-        codes = np.ravel_multi_index(tuple(data.vectors[:, concepts].T), sizes)
-    else:
-        codes = np.zeros(len(data), dtype=np.intp)
-    counts = np.bincount(codes, minlength=len(worlds))
-    return _SufficientStats(phi_worlds, counts @ phi_worlds / len(data), log_free)
+    counts = np.bincount(worlds.codes(data.vectors.T), minlength=len(worlds.phi))
+    return _SufficientStats(worlds, counts @ worlds.phi / len(data))
 
 
 def nll_and_gradient(
@@ -258,6 +268,7 @@ class FitResult:
     model: MlnModel
     nll_history: tuple[float, ...]  # NLL at init and after each accepted step
     epochs_used: int
+    worlds: WorldTable  # the mentioned worlds the fit enumerated
 
 
 def fit_weights(
@@ -269,9 +280,9 @@ def fit_weights(
     iterations is non-increasing, and fitting stops when the improvement
     drops below cfg.convergence_tol or after cfg.max_epochs steps.
     """
-    if not model.constraints:
-        return FitResult(replace(model, weights=np.zeros(0)), (np.nan,), 0)
     stats = _stats(model, data, cfg.space_cap)
+    if not model.constraints:
+        return FitResult(replace(model, weights=np.zeros(0)), (np.nan,), 0, stats.worlds)
     w0 = np.full(len(model.constraints), cfg.init_weight)
 
     history = [stats.nll(w0)]
@@ -302,7 +313,7 @@ def fit_weights(
     w = np.asarray(result.x, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise NumericalError(f"non-finite weights after {len(history) - 1} iterations")
-    return FitResult(replace(model, weights=w), tuple(history), result.nit)
+    return FitResult(replace(model, weights=w), tuple(history), result.nit, stats.worlds)
 
 
 # ---------------------------------------------------------------------------

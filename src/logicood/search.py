@@ -18,7 +18,7 @@ import numpy as np
 from .constraints import CONNECTIVES, Atom, CompiledConstraint, Node, Not, compile_constraint, pretty
 from .errors import NumericalError, ValidationError
 from .metrics import auroc_from_counts
-from .mln import FitConfig, MlnModel, enumerate_space, fit_weights, scores_from_columns
+from .mln import FitConfig, FitResult, MlnModel, enumerate_space, fit_weights, scores_from_columns
 from .schema import Dataset, Schema, id_subset
 
 _CONNECTIVES = {c.token: c.node for c in CONNECTIVES}
@@ -170,43 +170,15 @@ class SearchResult:
         }
 
 
-@dataclass(frozen=True)
-class _RowPatterns:
-    """Rows grouped by which working-set constraints they satisfy: row r
-    has pattern index[r], and bits[p, i] is 1 when pattern p satisfies
-    member i. Only patterns that some row has are kept, so there are never
-    more patterns than rows, whatever the working-set size."""
-
-    index: np.ndarray  # (n,) in [0, len(bits))
-    bits: np.ndarray  # (patterns, members) of 0/1
-
-    def extend(self, column: np.ndarray) -> "_RowPatterns":
-        """The patterns after appending one member with this 0/1 column."""
-        codes = 2 * self.index + column
-        present = np.flatnonzero(np.bincount(codes, minlength=2 * len(self.bits)))
-        compact = np.empty(2 * len(self.bits), dtype=np.intp)
-        compact[present] = np.arange(present.size)
-        bits = np.column_stack([self.bits[present >> 1], present & 1])
-        return _RowPatterns(compact[codes], bits)
-
-    def auroc(self, weights: np.ndarray, is_ood: np.ndarray) -> float:
-        """Validation AUROC of mln_score_batch with these member weights,
-        bit-equal to scoring every row: each pattern is scored by the same
-        scores_from_columns that mln_score_batch uses."""
-        counts = np.bincount(2 * self.index + is_ood, minlength=2 * len(self.bits))
-        table = scores_from_columns(weights, self.bits.T, len(self.bits))
-        return auroc_from_counts(table, counts[0::2], counts[1::2])
-
-
 def greedy_search(
     train: Dataset, val: Dataset, pool: CandidatePool, config: SearchConfig
 ) -> SearchResult:
     """One pass over the pool, accepting candidates that lift validation
     AUROC by more than delta_min; exactly len(pool) fit/evaluate rounds.
 
-    Each candidate is compiled and evaluated on the validation rows once;
-    its AUROC comes from the counts of ID and OOD rows per satisfaction
-    pattern of the working set plus the candidate."""
+    No constraint is evaluated on a validation row: each fit's AUROC comes
+    from the counts of ID and OOD validation rows per world the fit
+    enumerated, each world scored once."""
     if len(pool) == 0:
         raise ValidationError("candidate pool is empty")
     if val.schema != train.schema:
@@ -217,41 +189,45 @@ def greedy_search(
     if len(train_id) == 0:
         raise ValidationError("training set has no ID rows")
     schema = train.schema
-    # The Dataset checked val's rows against this schema once; candidates
-    # evaluate them with _truth, unchecked.
+    columns = np.ascontiguousarray(val.vectors.T)
     is_ood = val.is_ood.astype(np.intp)
 
     def fit(constraints):
         base = MlnModel(schema, tuple(constraints), np.zeros(len(constraints)))
-        return fit_weights(base, train_id, config.fit).model
+        return fit_weights(base, train_id, config.fit)
+
+    def val_auroc(fitted: FitResult) -> float:
+        """A constraint reads only the concepts it mentions, so a row scores
+        as its world: bit-equal to auroc over mln_score_batch of every row."""
+        worlds = fitted.worlds
+        n = len(worlds.phi)
+        counts = np.bincount(2 * worlds.codes(columns) + is_ood, minlength=2 * n)
+        scores = scores_from_columns(fitted.model.weights, worlds.phi.T, n)
+        return auroc_from_counts(scores, counts[0::2], counts[1::2])
 
     working: list[CompiledConstraint] = []
-    patterns = _RowPatterns(np.zeros(len(val), dtype=np.intp), np.zeros((1, 0), np.intp))
     for ast in config.seed_constraints:
         working.append(compile_constraint(ast, schema, constraint_id=len(working)))
-        patterns = patterns.extend(working[-1]._truth(val.vectors))
     best_j = config.baseline_j0
-    best_model = fit(working)
+    best = fit(working)
     if working:
-        best_j = max(best_j, patterns.auroc(best_model.weights, is_ood))
+        best_j = max(best_j, val_auroc(best))
 
     audit: list[AuditEntry] = []
     for ast in pool.candidates:
         source = pretty(ast)
         candidate = compile_constraint(ast, schema, constraint_id=len(working))
         try:
-            candidate_model = fit(working + [candidate])
+            fitted = fit(working + [candidate])
         except NumericalError as exc:
             audit.append(AuditEntry(source, None, False, str(exc)))
             continue
-        extended = patterns.extend(candidate._truth(val.vectors))
-        j_prime = extended.auroc(candidate_model.weights, is_ood)
+        j_prime = val_auroc(fitted)
         accepted = j_prime > best_j + config.delta_min
         audit.append(AuditEntry(source, j_prime, accepted))
         if accepted:
             working.append(candidate)
-            patterns = extended
             best_j = j_prime
-            best_model = candidate_model
+            best = fitted
 
-    return SearchResult(best_model, best_j, tuple(audit), len(pool), config.delta_min)
+    return SearchResult(best.model, best_j, tuple(audit), len(pool), config.delta_min)

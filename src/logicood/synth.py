@@ -35,6 +35,11 @@ class DetectorSpec:
     id_params: dict
     ood_params: dict
 
+    def __post_init__(self):
+        # Bad law parameters fail here rather than while sampling.
+        self.id_distribution()
+        self.ood_distribution()
+
     def id_distribution(self):
         return distributions.ScoreDistribution(self.family, dict(self.id_params))
 
@@ -167,6 +172,8 @@ def make_benchmark(spec: SynthSpec) -> Dataset:
 
 
 def _model_from_config(schema: Schema, raw: dict) -> MlnModel:
+    if not isinstance(raw, dict):
+        raise ValidationError(f"expected an object, got {type(raw).__name__}")
     sources = raw.get("constraints", [])
     weights = raw.get("weights", [])
     if len(sources) != len(weights):
@@ -175,33 +182,40 @@ def _model_from_config(schema: Schema, raw: dict) -> MlnModel:
     return MlnModel(schema, compiled, np.asarray(weights, dtype=np.float64))
 
 
+_REQUIRED = object()
+
+
 def load_synth_spec(path) -> SynthSpec:
     """Read a SynthSpec JSON config; see README for the full format."""
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    try:
-        schema = schema_from_dict(raw["schema"])
-        model = _model_from_config(schema, raw["model"])
-        alternate = (
-            _model_from_config(schema, raw["alternate_model"])
-            if "alternate_model" in raw
-            else None
-        )
-        detector = None
-        if "detector" in raw:
-            d = raw["detector"]
-            detector = DetectorSpec(d["family"], d["id_params"], d["ood_params"])
-        return SynthSpec(
-            schema=schema,
-            model=model,
-            n_id=int(raw["n_id"]),
-            n_ood=int(raw["n_ood"]),
-            ood_mode=raw.get("ood_mode", "uniform_over_Z"),
-            alternate_model=alternate,
-            detector=detector,
-            seed=int(raw.get("seed", 0)),
-            space_cap=int(raw.get("space_cap", DEFAULT_SPACE_CAP)),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing field {exc}") from exc
+
+    def field(key, convert, default=_REQUIRED):
+        """convert(raw[key]), with any failure named by file and field; null
+        counts as absent."""
+        if raw.get(key) is None:
+            if default is _REQUIRED:
+                raise ValidationError(f"{path}: missing field {key!r}")
+            return default
+        try:
+            return convert(raw[key])
+        except KeyError as exc:
+            raise ValidationError(f"{path}: {key}: missing field {exc}") from exc
+        except (TypeError, ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}: {key}: {exc}") from exc
+
+    schema = field("schema", schema_from_dict)
+    return SynthSpec(
+        schema=schema,
+        model=field("model", lambda m: _model_from_config(schema, m)),
+        n_id=field("n_id", int),
+        n_ood=field("n_ood", int),
+        ood_mode=raw.get("ood_mode", "uniform_over_Z"),
+        alternate_model=field("alternate_model", lambda m: _model_from_config(schema, m), None),
+        detector=field(
+            "detector", lambda d: DetectorSpec(d["family"], d["id_params"], d["ood_params"]), None
+        ),
+        seed=field("seed", int, 0),
+        space_cap=field("space_cap", int, DEFAULT_SPACE_CAP),
+    )

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from logicood.cli import main
+from logicood.constraints import MAX_DEPTH
 
 SYNTH_CONFIG = {
     "schema": {"c0": "binary", "c1": "binary", "c2": "binary", "c3": "binary"},
@@ -354,3 +355,86 @@ def test_compile_bad_schema_exit_code(workdir, capsys):
     err = capsys.readouterr().err
     assert f"{schema}:1: invalid JSON" in err
     assert "Traceback" not in err
+
+
+def _one_concept_kb(tmp_path, line):
+    schema, kb = tmp_path / "schema.json", tmp_path / "kb.txt"
+    schema.write_text('{"c0": "binary"}', encoding="utf-8")
+    kb.write_text(line + "\n", encoding="utf-8")
+    weights = _write_weights(tmp_path, json.dumps([{"constraint": line, "weight": 1.0}]))
+    (tmp_path / "data.csv").write_text("c0\ntrue\nfalse\n", encoding="utf-8")
+    return schema, kb, weights
+
+
+def _score(tmp_path, schema, kb, weights):
+    return run(
+        "score", "--schema", schema, "--constraints", kb, "--weights", weights,
+        "--data", tmp_path / "data.csv", "--out", tmp_path / "scores.csv",
+    )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("(" * 200 + "c0" + ")" * 200, "too deeply to parse"),
+        ("not " * 1000 + "c0", "too deeply to parse"),
+        (" and ".join(["c0"] * 3000), "3000 levels deep"),
+        (" and ".join(["c0"] * 986), "986 levels deep"),
+    ],
+    ids=["parens-200", "nots-1000", "chain-3000", "chain-986"],
+)
+def test_compile_deep_constraint_exit_code(tmp_path, capsys, line, message):
+    schema, kb, _ = _one_concept_kb(tmp_path, line)
+    assert run("compile", "--schema", schema, "--constraints", kb) == 2
+    err = capsys.readouterr().err
+    assert f"{kb}:1: " in err and message in err
+
+
+def test_score_deep_constraint_exit_code(tmp_path, capsys):
+    # 986 terms used to compile and then exhaust the stack while scoring.
+    schema, kb, weights = _one_concept_kb(tmp_path, " and ".join(["c0"] * 986))
+    assert _score(tmp_path, schema, kb, weights) == 2
+    assert f"{kb}:1: constraint is 986 levels deep" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
+
+
+def test_chain_at_the_depth_bound_compiles_and_scores(tmp_path):
+    schema, kb, weights = _one_concept_kb(tmp_path, " and ".join(["c0"] * MAX_DEPTH))
+    assert run("compile", "--schema", schema, "--constraints", kb) == 0
+    assert _score(tmp_path, schema, kb, weights) == 0
+    assert (tmp_path / "scores.csv").read_text(encoding="utf-8") == "__id,score\n0,-1.0\n1,0.0\n"
+
+
+def _spec_without_gev_shape(config):
+    del config["detector"]["id_params"]["shape"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c.update(n_id="abc"), ": n_id: invalid literal for int()"),
+        (
+            lambda c: c["model"].update(weights=["x", 2.5]),
+            ": model: could not convert string to float",
+        ),
+        (lambda c: c.update(model=["x"]), ": model: expected an object, got list"),
+        (_spec_without_gev_shape, ": detector: gev: params must be ['location', 'scale', "),
+    ],
+    ids=["n-id-not-a-number", "weight-not-a-number", "model-not-an-object", "gev-without-shape"],
+)
+def test_synth_bad_field_exit_code(tmp_path, capsys, edit, message):
+    spec = json.loads(json.dumps(SYNTH_CONFIG))
+    edit(spec)
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(spec), encoding="utf-8")
+    assert run("synth", "--config", config, "--out-dir", tmp_path / "out") == 2
+    assert f"{config}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "data.csv").exists()
+
+
+def test_synth_null_optional_fields_are_absent(tmp_path):
+    # The README's example config spells an absent alternate model as null.
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({**SYNTH_CONFIG, "alternate_model": None}), encoding="utf-8")
+    assert run("synth", "--config", config, "--out-dir", tmp_path / "out") == 0
+    assert (tmp_path / "out" / "data.csv").exists()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import interpret, random_ast, random_schema, random_vectors
 from logicood.constraints import (
+    MAX_DEPTH,
     And,
     Atom,
     Implies,
@@ -18,6 +19,7 @@ from logicood.constraints import (
     pretty,
 )
 from logicood.errors import CompileError, ParseError, ValidationError
+from logicood.mln import MlnModel, explain, mln_score_batch
 from logicood.schema import Schema
 
 SIGN_SCHEMA = Schema(
@@ -145,6 +147,20 @@ def test_evaluate_bad_rows_raise_validation_error():
             c.evaluate(bad[0])
 
 
+def test_tree_at_the_depth_bound_compiles_scores_explains_and_prints():
+    schema = Schema((("c0", ("false", "true")),))
+    chain = " and ".join(["c0"] * MAX_DEPTH)
+    for source in (chain, "not " * (MAX_DEPTH - 1) + "c0"):
+        c = compile_source(source, schema)
+        m = MlnModel(schema, (c,), np.ones(1))
+        truth = [int(interpret(c.ast, schema, [v])) for v in (0, 1)]
+        assert mln_score_batch(m, [[0], [1]]).tolist() == [-float(t) for t in truth]
+        assert explain(m, [1]).total_score == -float(truth[1])
+        assert pretty(c.ast) == source.replace("c0", "c0=true")
+    with pytest.raises(CompileError, match=f"{MAX_DEPTH + 1} levels deep"):
+        compile_source(chain + " and c0", schema)
+
+
 # ---------------------------------------------------------------------------
 # Knowledge base files
 
@@ -168,6 +184,24 @@ def test_load_constraints_error_names_line(tmp_path):
     path.write_text("is_octagon\ncolor=\n", encoding="utf-8")
     with pytest.raises(ParseError, match=":2:"):
         load_constraints(path, SIGN_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "line, error, message",
+    [
+        ("(" * 200 + "is_octagon" + ")" * 200, ParseError, "too deeply to parse"),
+        ("not " * 1000 + "is_octagon", ParseError, "too deeply to parse"),
+        (" and ".join(["is_octagon"] * 3000), CompileError, "3000 levels deep"),
+        (" and ".join(["is_octagon"] * 986), CompileError, "986 levels deep"),
+    ],
+    ids=["parens-200", "nots-1000", "chain-3000", "chain-986"],
+)
+def test_load_constraints_rejects_deep_tree_with_its_line(tmp_path, line, error, message):
+    path = tmp_path / "kb.txt"
+    path.write_text(f"is_octagon\n{line}\n", encoding="utf-8")
+    with pytest.raises(error, match=message) as err:
+        load_constraints(path, SIGN_SCHEMA)
+    assert f"{path}:2: " in str(err.value)
 
 
 # ---------------------------------------------------------------------------

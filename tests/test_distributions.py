@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -197,3 +198,23 @@ def test_invalid_params_rejected():
         ScoreDistribution("gev", {"location": 0.0, "scale": -1.0, "shape": 0.0})
     with pytest.raises(ValidationError):
         ScoreDistribution("uniform", {"a": 2.0, "b": 1.0})
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("gev", {"location": 0.0, "scale": 1.0}),
+        ("gev", {"location": 0.0, "scale": 1.0, "shape": 0.0, "extra": 1.0}),
+        ("normal", {"location": 0.0, "std": 1.0}),
+        ("none", {"a": 0.0}),
+    ],
+    ids=["missing", "extra", "misnamed", "none-with-params"],
+)
+def test_params_must_be_the_family_names(tmp_path, family, params):
+    with pytest.raises(ValidationError, match=f"{family}: params must be"):
+        ScoreDistribution(family, params)
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"family": family, "params": params}), encoding="utf-8")
+    with pytest.raises(ValidationError, match="params must be") as err:
+        load_distribution(path)
+    assert str(path) in str(err.value)

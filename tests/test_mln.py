@@ -139,6 +139,16 @@ def test_fit_rejects_dataset_of_another_schema():
             nll_and_gradient(m, data)
 
 
+@pytest.mark.parametrize("sources", [[], ["p -> q"]], ids=["empty-kb", "one-constraint"])
+def test_fit_checks_its_data_for_every_kb(sources):
+    m = model(BIN2, sources, [0.0] * len(sources))
+    qp = Schema((("q", ("false", "true")), ("p", ("false", "true"))))
+    with pytest.raises(ValidationError, match="schema differs"):
+        fit_weights(m, dataset(qp, [[1, 0], [0, 1]]))
+    with pytest.raises(ValidationError, match="empty dataset"):
+        fit_weights(m, dataset(BIN2, np.zeros((0, 2))))
+
+
 # ---------------------------------------------------------------------------
 # Enumeration and exact inference
 
@@ -310,6 +320,43 @@ def test_data_means_bit_identical(rng):
         stats = mln._stats(m, data, mln.DEFAULT_SPACE_CAP)
         expected = satisfaction_matrix(m, data.vectors).mean(axis=0)
         assert np.array_equal(stats.data_means, expected)
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_world_table_codes_match_ravel_multi_index(seed, empty_kb):
+    r = np.random.default_rng(seed)
+    m = partial_kb_model(r)
+    if empty_kb:
+        m = MlnModel(m.schema, (), np.zeros(0))
+    mentioned = sorted({ci for c in m.constraints for ci in c.concept_indices})
+    sizes = [m.schema.domain_sizes[ci] for ci in mentioned]
+    table = mln.world_table(m)
+    assert table.concepts == tuple(mentioned) and table.sizes == tuple(sizes)
+    rows = random_vectors(r, m.schema, int(r.integers(0, 60)))
+    expected = np.ravel_multi_index(tuple(rows[:, mentioned].T), sizes)
+    for columns in (rows.T, np.ascontiguousarray(rows.T)):
+        codes = table.codes(columns)
+        assert np.array_equal(codes, np.broadcast_to(expected, len(rows)))
+    # Each code indexes enumerate_space's world with the row's mentioned values.
+    worlds = enumerate_space(m.schema, concepts=mentioned)
+    assert np.array_equal(worlds[codes][:, mentioned], rows[:, mentioned])
+
+
+def test_fit_result_worlds_are_the_enumerated_satisfaction_matrix(rng):
+    cfg = FitConfig(max_epochs=3)
+    for _ in range(20):
+        m = partial_kb_model(rng)
+        data = dataset(m.schema, random_vectors(rng, m.schema, 30))
+        worlds = fit_weights(m, data, cfg).worlds
+        concepts = sorted({ci for c in m.constraints for ci in c.concept_indices})
+        expected = satisfaction_matrix(m, enumerate_space(m.schema, cfg.space_cap, concepts))
+        assert np.array_equal(worlds.phi, expected)
+        free = [s for ci, s in enumerate(m.schema.domain_sizes) if ci not in concepts]
+        assert worlds.log_free == math.log(math.prod(free))
+    worlds = fit_weights(MlnModel(m.schema, (), np.zeros(0)), data, cfg).worlds
+    assert worlds.concepts == () and worlds.phi.shape == (1, 0)
+    assert worlds.log_free == math.log(math.prod(m.schema.domain_sizes))
 
 
 def test_empty_kb_log_partition_is_log_size(rng):

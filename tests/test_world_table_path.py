@@ -1,0 +1,141 @@
+"""One world table: an AST scan of the package fails if rows are coded to
+worlds anywhere but mln.WorldTable.codes, or if greedy_search evaluates a
+constraint itself instead of reading the fit's world table."""
+
+import ast
+from pathlib import Path
+
+import logicood
+
+PACKAGE = Path(logicood.__file__).parent
+
+# Calls that evaluate constraints on rows.
+EVALUATIONS = frozenset(
+    {
+        "_truth",
+        "evaluate",
+        "evaluate_batch",
+        "satisfaction_matrix",
+        "mln_score",
+        "mln_score_batch",
+        "explain",
+        "explain_batch",
+    }
+)
+
+
+def _is_radix_step(node):
+    """`t = t * s + c` in either operand order, or `t *= s`."""
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.target, ast.Name) and isinstance(node.op, ast.Mult)
+    if not (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.op, ast.Add)
+    ):
+        return False
+    name = node.targets[0].id
+    return any(
+        isinstance(term, ast.BinOp)
+        and isinstance(term.op, ast.Mult)
+        and any(isinstance(f, ast.Name) and f.id == name for f in (term.left, term.right))
+        for term in (node.value.left, node.value.right)
+    )
+
+
+def _world_coding(tree):
+    """(enclosing function, line) of every use of ravel_multi_index and of
+    every radix step inside a loop."""
+    found = []
+
+    def visit(node, function, in_loop):
+        for child in ast.iter_child_nodes(node):
+            named = (
+                (isinstance(child, ast.Name) and child.id == "ravel_multi_index")
+                or (isinstance(child, ast.Attribute) and child.attr == "ravel_multi_index")
+                or (isinstance(child, ast.alias) and child.name == "ravel_multi_index")
+            )
+            if named or (in_loop and _is_radix_step(child)):
+                found.append((function, child.lineno))
+            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
+                visit(child, child.name, False)
+            else:
+                visit(child, function, in_loop or isinstance(child, ast.For | ast.While))
+
+    visit(tree, None, False)
+    return found
+
+
+def _evaluations(function):
+    """(called name, line) of every constraint evaluation in a function,
+    nested functions included."""
+    found = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in EVALUATIONS:
+                found.append((name, node.lineno))
+    return found
+
+
+def _function(tree, name):
+    (function,) = [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return function
+
+
+def test_only_world_table_codes_rows_to_worlds():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        hits = _world_coding(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
+    assert set(found) == {"mln.py"}
+    assert [function for function, _ in found["mln.py"]] == ["codes"]
+
+
+def test_greedy_search_evaluates_no_constraint():
+    tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    greedy = _function(tree, "greedy_search")
+    assert _evaluations(greedy) == []
+    # The scan sees the pool's own truth tables, so it is not blind.
+    assert _evaluations(_function(tree, "_truth_signature"))
+
+
+def test_scans_flag_each_form():
+    source = (
+        "from numpy import ravel_multi_index\n"
+        "def outer(rows):\n"
+        "    codes = np.ravel_multi_index(tuple(rows.T), sizes)\n"
+        "    for column, size in zip(columns, sizes):\n"
+        "        code = code * size + column\n"
+        "        code = column + size * code\n"
+        "        other = a * size + column\n"
+        "    while i:\n"
+        "        code *= size\n"
+        "    code = code * size + column\n"
+        "    def greedy_search():\n"
+        "        c._truth(rows)\n"
+        "        fit_weights(model, data)\n"
+        "        def inner():\n"
+        "            return satisfaction_matrix(m, worlds), w.codes(columns)\n"
+        "        x = 2 * inner() + is_ood\n"
+        "    mln_score_batch(model, rows)\n"
+    )
+    tree = ast.parse(source)
+    assert _world_coding(tree) == [
+        (None, 1),
+        ("outer", 3),
+        ("outer", 5),
+        ("outer", 6),
+        ("outer", 9),
+    ]
+    assert _evaluations(_function(tree, "greedy_search")) == [
+        ("_truth", 12),
+        ("satisfaction_matrix", 15),
+    ]
+    assert ("mln_score_batch", 17) in _evaluations(_function(tree, "outer"))
