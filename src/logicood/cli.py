@@ -24,32 +24,14 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-FAMILY_FLAGS = {
-    "gev": "gev",
-    "uniform": "uniform",
-    "normal": "normal",
-    "gennorm": "generalized_normal",
-    "lognormal": "lognormal",
-    "none": "none",
-}
-
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _scores_csv(ids, scores) -> str:
-    lines = ["__id,score"]
-    for sid, s in zip(ids, scores):
-        lines.append(f"{sid},{float(s)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _decisions_csv(ids, flags) -> str:
-    lines = ["__id,outlier"]
-    for sid, flag in zip(ids, flags):
-        lines.append(f"{sid},{1 if flag else 0}")
-    return "\n".join(lines) + "\n"
+def _id_csv(column, ids, cells) -> str:
+    """`__id,<column>`, then one `id,repr(cell)` line per row."""
+    return "".join([f"__id,{column}\n", *(f"{sid},{cell!r}\n" for sid, cell in zip(ids, cells))])
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -130,7 +112,7 @@ def cmd_score(args) -> int:
     model = _load_model(args)
     data = schema_mod.load_dataset(args.data, model.schema)
     scores = mln.mln_score_batch(model, data.vectors)
-    artifacts.write_text(args.out, _scores_csv(data.sample_ids, scores))
+    artifacts.write_text(args.out, _id_csv("score", data.sample_ids, scores.tolist()))
     if args.explain:
         artifacts.write_json(args.explain, _explanations(model, data))
     _log(f"scored {len(data)} rows")
@@ -143,25 +125,24 @@ def cmd_fuse(args) -> int:
     model = _load_model(args)
     data = schema_mod.load_dataset(args.data, model.schema)
     reference = schema_mod.id_subset(schema_mod.load_dataset(args.train, model.schema))
-    family = FAMILY_FLAGS[args.family]
+    family = distributions.FAMILY_BY_FLAG[args.family]
     if family != "none" and reference.detector_scores is None:
         raise ValidationError(
             f"{args.train}: fitting the {family} family needs __detector_score"
         )
     dist = distributions.fit_distribution(reference.detector_scores, family)
-    scorer = fusion.FusedScorer(model, dist)
     if family == "none" and data.detector_scores is None:
         fused = mln.mln_score_batch(model, data.vectors)
     else:
-        fused = fusion.fuse_batch(scorer, data)
-    artifacts.write_text(args.out, _scores_csv(data.sample_ids, fused))
+        fused = fusion.fuse_batch(fusion.FusedScorer(model, dist), data)
+    artifacts.write_text(args.out, _id_csv("score", data.sample_ids, fused.tolist()))
     if args.dist_out:
         distributions.save_distribution(dist, args.dist_out)
     if args.explain:
         artifacts.write_json(args.explain, _explanations(model, data))
     if args.threshold is not None:
-        flags = fusion.threshold(fused, args.threshold)
-        artifacts.write_text(args.decisions, _decisions_csv(data.sample_ids, flags))
+        flags = fusion.threshold(fused, args.threshold).astype(int)
+        artifacts.write_text(args.decisions, _id_csv("outlier", data.sample_ids, flags.tolist()))
     _log(f"fused {len(data)} rows with family {family}")
     return EXIT_OK
 
@@ -265,13 +246,14 @@ def cmd_synth(args) -> int:
 
 
 def _add_fit_flags(p):
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--init-weight", type=float, default=-1.0)
+    defaults = mln.FitConfig()
+    p.add_argument("--epochs", type=int, default=defaults.max_epochs)
+    p.add_argument("--tol", type=float, default=defaults.convergence_tol)
+    p.add_argument("--init-weight", type=float, default=defaults.init_weight)
     p.add_argument(
         "--space-cap",
         type=int,
-        default=mln.DEFAULT_SPACE_CAP,
+        default=defaults.space_cap,
         help="most worlds to enumerate, counted over the concepts the KB mentions",
     )
 
@@ -280,54 +262,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="logicood")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="parse and compile a constraint file")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--constraints", required=True)
-    p.set_defaults(func=cmd_compile)
+    def command(name, func, summary, *paths, **path_help):
+        """A subcommand whose path flags, in the order given, are required."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for path in paths:
+            p.add_argument(f"--{path}", required=True, help=path_help.get(path))
+        return p
 
-    p = sub.add_parser("fit", help="learn constraint weights from ID data")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--constraints", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--out", required=True)
+    command("compile", cmd_compile, "parse and compile a constraint file", "schema", "constraints")
+
+    p = command("fit", cmd_fit, "learn constraint weights from ID data",
+                "schema", "constraints", "train", "out")
     _add_fit_flags(p)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("score", help="standalone constraint-based outlier scores")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--constraints", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = command("score", cmd_score, "standalone constraint-based outlier scores",
+                "schema", "constraints", "weights", "data", "out")
     p.add_argument("--explain", default=None)
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("fuse", help="fuse constraint scores with detector scores")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--constraints", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--train", required=True, help="ID reference CSV for the fit")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--family", choices=sorted(FAMILY_FLAGS), default="gev")
+    p = command("fuse", cmd_fuse, "fuse constraint scores with detector scores",
+                "schema", "constraints", "weights", "train", "data", "out",
+                train="ID reference CSV for the fit")
+    p.add_argument("--family", choices=sorted(distributions.FAMILY_BY_FLAG), default="gev")
     p.add_argument("--dist-out", default=None)
     p.add_argument("--explain", default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--decisions", default=None)
-    p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("eval", help="AUROC/AUPR/FPR95 from scores and labels")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    command("eval", cmd_eval, "AUROC/AUPR/FPR95 from scores and labels",
+            "schema", "data", "scores", "out")
 
-    p = sub.add_parser("search", help="greedy constraint-set search")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--out", required=True)
+    p = command("search", cmd_search, "greedy constraint-set search",
+                "schema", "train", "val", "out")
     p.add_argument("--accepted-out", default=None)
     p.add_argument("--delta-min", type=float, default=0.01)
     p.add_argument("--baseline", type=float, default=0.5)
@@ -336,13 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-negation", action="store_true")
     p.add_argument("--concepts", default=None)
     _add_fit_flags(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("synth", help="generate a synthetic benchmark")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", required=True)
+    p = command("synth", cmd_synth, "generate a synthetic benchmark", "config", "out-dir")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_synth)
 
     return parser
 

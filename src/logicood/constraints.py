@@ -372,7 +372,7 @@ def load_constraints(path, schema: Schema) -> list[CompiledConstraint]:
                 compiled.append(compile_source(stripped, schema, len(compiled)))
             except ParseError as exc:
                 raise ParseError(
-                    f"{path}:{lineno}: {exc.args[0]}", exc.offset, stripped
+                    f"{path}:{lineno}: {exc.message}", exc.offset, stripped
                 ) from exc
             except CompileError as exc:
                 raise CompileError(f"{path}:{lineno}: {exc}") from exc

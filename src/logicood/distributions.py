@@ -4,106 +4,45 @@ The survival function P(S >= s) of the fitted distribution turns raw
 detector scores into [0, 1] "how extreme is this" values. The default
 family is the generalized extreme value distribution; uniform, normal,
 generalized normal, lognormal, and a pass-through `none` family are
-available for ablations.
+available for ablations. Each family is one entry of `_FAMILIES`, and
+scipy is imported only inside the functions that call it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import optimize, stats as sps
-from scipy.special import gamma as gamma_fn
 
 from .artifacts import read_json, write_json
 from .errors import NumericalError, ValidationError
-
-# Each family's parameter names; a ScoreDistribution holds exactly these.
-PARAMS = {
-    "gev": ("location", "scale", "shape"),
-    "uniform": ("a", "b"),
-    "normal": ("mean", "std"),
-    "generalized_normal": ("location", "scale", "shape"),
-    "lognormal": ("log_mean", "log_std"),
-    "none": (),
-}
-FAMILIES = tuple(PARAMS)
 
 MIN_PARAMETRIC_SAMPLES = 20
 _GUMBEL_SHAPE_EPS = 1e-6  # |shape| below this uses the Gumbel limit
 _SHAPE_BOUND = 0.5  # GEV shape clamp keeping the MLE regular
 
 
-@dataclass(frozen=True)
-class ScoreDistribution:
-    """A fitted family exposing survival(s) = P(S >= s)."""
-
-    family: str
-    params: dict
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
-        names = PARAMS[self.family]
-        if set(self.params) != set(names):
-            raise ValidationError(
-                f"{self.family}: params must be {list(names)}, got {list(self.params)}"
-            )
-        for key in ("scale", "std", "log_std"):
-            if key in self.params and self.params[key] <= 0:
-                raise ValidationError(f"{self.family}: {key} must be positive")
-        if self.family == "uniform" and not self.params["a"] < self.params["b"]:
-            raise ValidationError("uniform: requires a < b")
-        if self.family == "generalized_normal" and self.params["shape"] <= 0:
-            raise ValidationError("generalized_normal: shape must be positive")
-
-
-def fit_distribution(scores, family: str) -> ScoreDistribution:
-    """Deterministic maximum-likelihood fit of the requested family."""
-    if family not in FAMILIES:
-        raise ValidationError(f"unknown family {family!r}")
-    if family == "none":
-        return ScoreDistribution("none", {})
-
-    x = np.asarray(scores, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError("scores must be a flat list")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("scores must be finite")
-    if x.size < MIN_PARAMETRIC_SAMPLES:
-        raise ValidationError(
-            f"family {family!r} needs >= {MIN_PARAMETRIC_SAMPLES} samples, got {x.size}"
-        )
-    if family == "uniform":
-        a, b = float(x.min()), float(x.max())
-        if a == b:
-            raise ValidationError("uniform fit: all scores identical")
-        return ScoreDistribution("uniform", {"a": a, "b": b})
+def _spread(x):
+    """x, which a family other than uniform can fit only if it varies."""
     if np.std(x) == 0:
-        raise ValidationError(f"{family} fit: zero variance in scores")
+        raise ValidationError("zero variance in scores")
+    return x
 
-    if family == "normal":
-        return ScoreDistribution(
-            "normal", {"mean": float(x.mean()), "std": float(x.std())}
-        )
-    if family == "lognormal":
-        if np.any(x <= 0):
-            raise ValidationError("lognormal fit: requires strictly positive scores")
-        logs = np.log(x)
-        return ScoreDistribution(
-            "lognormal", {"log_mean": float(logs.mean()), "log_std": float(logs.std())}
-        )
-    if family == "gev":
-        loc, scale, shape = _fit_gev(x)
-        return ScoreDistribution(
-            "gev", {"location": loc, "scale": scale, "shape": shape}
-        )
-    # generalized_normal
-    loc, scale, shape = _fit_gennorm(x)
-    return ScoreDistribution(
-        "generalized_normal", {"location": loc, "scale": scale, "shape": shape}
-    )
+
+def _fit_uniform(x):
+    a, b = x.min(), x.max()
+    if a == b:
+        raise ValidationError("all scores identical")
+    return a, b
+
+
+def _fit_lognormal(x):
+    if np.any(_spread(x) <= 0):
+        raise ValidationError("requires strictly positive scores")
+    logs = np.log(x)
+    return logs.mean(), logs.std()
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +68,8 @@ def _gev_nll(params, x):
 
 def _gev_pwm_start(x):
     """Hosking's probability-weighted-moment estimators."""
+    from scipy.special import gamma
+
     xs = np.sort(x)
     n = xs.size
     j = np.arange(n)
@@ -141,14 +82,16 @@ def _gev_pwm_start(x):
         sigma = (2 * b1 - b0) / math.log(2)
         mu = b0 - 0.5772156649015329 * sigma
         return mu, sigma, 0.0
-    gk = gamma_fn(1 + k)
+    gk = gamma(1 + k)
     sigma = (2 * b1 - b0) * k / (gk * (1 - 2.0 ** (-k)))
     mu = b0 + sigma * (gk - 1) / k
     return mu, sigma, -k
 
 
 def _fit_gev(x):
-    mu0, sigma0, xi0 = _gev_pwm_start(x)
+    from scipy import optimize
+
+    mu0, sigma0, xi0 = _gev_pwm_start(_spread(x))
     if not (np.isfinite(mu0) and np.isfinite(sigma0) and sigma0 > 0):
         mu0, sigma0, xi0 = x.mean(), x.std(), 0.0
     xi0 = float(np.clip(xi0, -_SHAPE_BOUND + 1e-3, _SHAPE_BOUND - 1e-3))
@@ -162,7 +105,7 @@ def _fit_gev(x):
     if not np.all(np.isfinite(result.x)):
         raise NumericalError(f"GEV fit failed: {result.message}")
     mu, log_sigma, xi = result.x
-    return float(mu), float(math.exp(log_sigma)), float(xi)
+    return mu, math.exp(log_sigma), xi
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +113,19 @@ def _fit_gev(x):
 
 
 def _gennorm_profile_nll(beta, x):
-    loc, scale = sps.gennorm.fit(x, f0=beta)[1:]
+    from scipy.stats import gennorm
+
+    loc, scale = gennorm.fit(x, f0=beta)[1:]
     if scale <= 0:
         return np.inf
-    return -np.sum(sps.gennorm.logpdf(x, beta, loc=loc, scale=scale))
+    return -np.sum(gennorm.logpdf(x, beta, loc=loc, scale=scale))
 
 
 def _fit_gennorm(x):
+    from scipy import optimize
+    from scipy.stats import gennorm
+
+    _spread(x)
     grid = np.logspace(math.log10(0.3), math.log10(8.0), 13)
     nlls = [_gennorm_profile_nll(b, x) for b in grid]
     best = int(np.argmin(nlls))
@@ -186,48 +135,130 @@ def _fit_gennorm(x):
         _gennorm_profile_nll, args=(x,), bounds=(lo, hi), method="bounded"
     )
     beta = float(refined.x)
-    loc, scale = sps.gennorm.fit(x, f0=beta)[1:]
-    return float(loc), float(scale), beta
+    loc, scale = gennorm.fit(x, f0=beta)[1:]
+    return loc, scale, beta
+
+
+# ---------------------------------------------------------------------------
+# The family table: everything the package knows about each family.
+
+
+class _Family(NamedTuple):
+    params: tuple[str, ...]  # in the order dist.json writes them
+    positive: tuple[str, ...] = ()  # params that must be > 0
+    fit: Callable | None = None  # finite sample -> param values; None passes scores through
+    law: Callable | None = None  # (scipy.stats, *param values) -> frozen scipy law
+    ordered: tuple[str, ...] = ()  # params that must strictly increase
+    flag: str | None = None  # the CLI's --family spelling, when not the name
+
+
+def _gev_law(sps, location, scale, shape):
+    if abs(shape) < _GUMBEL_SHAPE_EPS:
+        return sps.gumbel_r(loc=location, scale=scale)
+    return sps.genextreme(-shape, loc=location, scale=scale)  # scipy's shape is -ours
+
+
+_FAMILIES = {
+    "gev": _Family(("location", "scale", "shape"), ("scale",), _fit_gev, _gev_law),
+    "uniform": _Family(
+        ("a", "b"), (), _fit_uniform, lambda sps, a, b: sps.uniform(loc=a, scale=b - a),
+        ordered=("a", "b"),
+    ),
+    "normal": _Family(
+        ("mean", "std"), ("std",), lambda x: (_spread(x).mean(), x.std()),
+        lambda sps, mean, std: sps.norm(loc=mean, scale=std),
+    ),
+    "generalized_normal": _Family(
+        ("location", "scale", "shape"), ("scale", "shape"), _fit_gennorm,
+        lambda sps, loc, scale, shape: sps.gennorm(shape, loc=loc, scale=scale), flag="gennorm",
+    ),
+    "lognormal": _Family(
+        ("log_mean", "log_std"), ("log_std",), _fit_lognormal,
+        lambda sps, log_mean, log_std: sps.lognorm(log_std, scale=math.exp(log_mean)),
+    ),
+    "none": _Family(()),
+}
+FAMILIES = tuple(_FAMILIES)
+FAMILY_BY_FLAG = {f.flag or name: name for name, f in _FAMILIES.items()}
+
+
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise ValidationError(f"unknown family {name!r}")
+    return _FAMILIES[name]
+
+
+@dataclass(frozen=True)
+class ScoreDistribution:
+    """A fitted family exposing survival(s) = P(S >= s)."""
+
+    family: str
+    params: dict
+
+    def __post_init__(self):
+        fam, p = _family(self.family), self.params
+        if set(p) != set(fam.params):
+            raise ValidationError(
+                f"{self.family}: params must be {list(fam.params)}, got {list(p)}"
+            )
+        for key in fam.positive:
+            if p[key] <= 0:
+                raise ValidationError(f"{self.family}: {key} must be positive")
+        if not all(p[a] < p[b] for a, b in zip(fam.ordered, fam.ordered[1:])):
+            raise ValidationError(f"{self.family}: requires {' < '.join(fam.ordered)}")
+
+
+def fit_distribution(scores, family: str) -> ScoreDistribution:
+    """Deterministic maximum-likelihood fit of the requested family."""
+    fam = _family(family)
+    if fam.fit is None:
+        return ScoreDistribution(family, {})
+
+    x = np.asarray(scores, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValidationError("scores must be a flat list")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("scores must be finite")
+    if x.size < MIN_PARAMETRIC_SAMPLES:
+        raise ValidationError(
+            f"family {family!r} needs >= {MIN_PARAMETRIC_SAMPLES} samples, got {x.size}"
+        )
+    try:
+        values = fam.fit(x)
+    except ValidationError as exc:
+        raise ValidationError(f"{family} fit: {exc}") from None
+    return ScoreDistribution(family, {k: float(v) for k, v in zip(fam.params, values)})
 
 
 # ---------------------------------------------------------------------------
 # Survival / CDF
 
 
-def _frozen(d: ScoreDistribution):
-    p = d.params
-    if d.family == "gev":
-        if abs(p["shape"]) < _GUMBEL_SHAPE_EPS:
-            return sps.gumbel_r(loc=p["location"], scale=p["scale"])
-        # scipy's shape convention is the negative of ours
-        return sps.genextreme(-p["shape"], loc=p["location"], scale=p["scale"])
-    if d.family == "uniform":
-        return sps.uniform(loc=p["a"], scale=p["b"] - p["a"])
-    if d.family == "normal":
-        return sps.norm(loc=p["mean"], scale=p["std"])
-    if d.family == "generalized_normal":
-        return sps.gennorm(p["shape"], loc=p["location"], scale=p["scale"])
-    if d.family == "lognormal":
-        return sps.lognorm(p["log_std"], scale=math.exp(p["log_mean"]))
-    return None
+def _law(d: ScoreDistribution):
+    """The frozen scipy law of d, or None for the pass-through family."""
+    fam = _FAMILIES[d.family]
+    if fam.law is None:
+        return None
+    from scipy import stats
+
+    return fam.law(stats, *(d.params[k] for k in fam.params))
 
 
 def survival(d: ScoreDistribution, s) -> np.ndarray | float:
     """P(S >= s), clamped to [0, 1]; the `none` family returns 1."""
     scalar = np.isscalar(s)
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    if d.family == "none":
-        out = np.ones_like(s)
-    else:
-        out = np.clip(_frozen(d).sf(s), 0.0, 1.0)
+    law = _law(d)
+    out = np.ones_like(s) if law is None else np.clip(law.sf(s), 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
 def quantile(d: ScoreDistribution, u) -> np.ndarray:
     """Inverse CDF at probabilities u."""
-    if d.family == "none":
-        raise ValidationError("the `none` family has no quantile function")
-    return np.asarray(_frozen(d).ppf(u), dtype=np.float64)
+    law = _law(d)
+    if law is None:
+        raise ValidationError(f"the `{d.family}` family has no quantile function")
+    return np.asarray(law.ppf(u), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +273,20 @@ class FitDiagnostics:
     n_samples: int
     note: str = ""
 
-    def to_json_dict(self):
-        return asdict(self)
-
 
 def fit_diagnostics(d: ScoreDistribution, scores) -> FitDiagnostics:
     """Log-likelihood and KS statistic vs the empirical CDF."""
     x = np.asarray(scores, dtype=np.float64)
     if x.size == 0:
         raise ValidationError("diagnostics need a non-empty score list")
-    if d.family == "none":
+    law = _law(d)
+    if law is None:
         return FitDiagnostics(
-            "none", None, None, x.size, note="normalization disabled; no distribution fitted"
+            d.family, None, None, x.size, note="normalization disabled; no distribution fitted"
         )
-    frozen = _frozen(d)
-    ll = float(np.sum(frozen.logpdf(x)))
+    ll = float(np.sum(law.logpdf(x)))
     xs = np.sort(x)
-    model_cdf = frozen.cdf(xs)
+    model_cdf = law.cdf(xs)
     n = xs.size
     upper = np.arange(1, n + 1) / n - model_cdf
     lower = model_cdf - np.arange(0, n) / n

@@ -20,6 +20,7 @@ class ParseError(ValidationError):
     """
 
     def __init__(self, message, offset, source=None):
+        self.message = message
         self.offset = offset
         self.source = source
         super().__init__(f"{message} (offset {offset})")

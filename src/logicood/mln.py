@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from .artifacts import read_json, write_json
 from .constraints import CompiledConstraint
@@ -280,6 +279,8 @@ def fit_weights(
     iterations is non-increasing, and fitting stops when the improvement
     drops below cfg.convergence_tol or after cfg.max_epochs steps.
     """
+    from scipy import optimize
+
     stats = _stats(model, data, cfg.space_cap)
     if not model.constraints:
         return FitResult(replace(model, weights=np.zeros(0)), (np.nan,), 0, stats.worlds)

@@ -11,7 +11,7 @@ acceptance margin delta_min.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -158,15 +158,7 @@ class SearchResult:
                 {"constraint": c.source, "weight": float(w)}
                 for c, w in zip(self.model.constraints, self.model.weights)
             ],
-            "audit": [
-                {
-                    "candidate": e.candidate,
-                    "auroc": e.auroc,
-                    "accepted": e.accepted,
-                    "error": e.error,
-                }
-                for e in self.audit
-            ],
+            "audit": [asdict(e) for e in self.audit],
         }
 
 

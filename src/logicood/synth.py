@@ -60,12 +60,13 @@ class SynthSpec:
     space_cap: int = DEFAULT_SPACE_CAP
 
     def __post_init__(self):
-        if self.n_id < 1 or self.n_ood < 1:
-            raise ValidationError("n_id and n_ood must be >= 1")
+        for key in ("n_id", "n_ood"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"{key}: must be >= 1")
         if self.ood_mode not in OOD_MODES:
-            raise ValidationError(f"unknown ood_mode {self.ood_mode!r}")
+            raise ValidationError(f"ood_mode: unknown mode {self.ood_mode!r}")
         if self.ood_mode == "alternate_mln" and self.alternate_model is None:
-            raise ValidationError("ood_mode alternate_mln requires alternate_model")
+            raise ValidationError("ood_mode: alternate_mln requires alternate_model")
 
 
 def _streams(spec: SynthSpec):
@@ -185,37 +186,50 @@ def _model_from_config(schema: Schema, raw: dict) -> MlnModel:
 _REQUIRED = object()
 
 
+def _whole(value) -> int:
+    """int(value), refusing to truncate a fractional number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def load_synth_spec(path) -> SynthSpec:
-    """Read a SynthSpec JSON config; see README for the full format."""
+    """Read a SynthSpec JSON config; see README for the full format. Every
+    error names the file, and the field at fault."""
     raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: expected a JSON object, got {type(raw).__name__}")
 
     def field(key, convert, default=_REQUIRED):
-        """convert(raw[key]), with any failure named by file and field; null
-        counts as absent."""
+        """convert(raw[key]), with any failure named by its field; null counts
+        as absent."""
         if raw.get(key) is None:
             if default is _REQUIRED:
-                raise ValidationError(f"{path}: missing field {key!r}")
+                raise ValidationError(f"missing field {key!r}")
             return default
         try:
             return convert(raw[key])
         except KeyError as exc:
-            raise ValidationError(f"{path}: {key}: missing field {exc}") from exc
+            raise ValidationError(f"{key}: missing field {exc}") from exc
         except (TypeError, ValueError, ValidationError) as exc:
-            raise ValidationError(f"{path}: {key}: {exc}") from exc
+            raise ValidationError(f"{key}: {exc}") from exc
 
-    schema = field("schema", schema_from_dict)
-    return SynthSpec(
-        schema=schema,
-        model=field("model", lambda m: _model_from_config(schema, m)),
-        n_id=field("n_id", int),
-        n_ood=field("n_ood", int),
-        ood_mode=raw.get("ood_mode", "uniform_over_Z"),
-        alternate_model=field("alternate_model", lambda m: _model_from_config(schema, m), None),
-        detector=field(
-            "detector", lambda d: DetectorSpec(d["family"], d["id_params"], d["ood_params"]), None
-        ),
-        seed=field("seed", int, 0),
-        space_cap=field("space_cap", int, DEFAULT_SPACE_CAP),
-    )
+    try:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"expected a JSON object, got {type(raw).__name__}")
+        schema = field("schema", schema_from_dict)
+        return SynthSpec(  # whose own checks name their field too
+            schema=schema,
+            model=field("model", lambda m: _model_from_config(schema, m)),
+            n_id=field("n_id", _whole),
+            n_ood=field("n_ood", _whole),
+            ood_mode=field("ood_mode", str, "uniform_over_Z"),
+            alternate_model=field("alternate_model", lambda m: _model_from_config(schema, m), None),
+            detector=field(
+                "detector",
+                lambda d: DetectorSpec(d["family"], d["id_params"], d["ood_params"]),
+                None,
+            ),
+            seed=field("seed", _whole, 0),
+            space_cap=field("space_cap", _whole, DEFAULT_SPACE_CAP),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

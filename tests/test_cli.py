@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from logicood.cli import main
+from logicood.cli import _fit_config, build_parser, main
 from logicood.constraints import MAX_DEPTH
+from logicood.distributions import fit_distribution, load_distribution
+from logicood.mln import FitConfig
 
 SYNTH_CONFIG = {
     "schema": {"c0": "binary", "c1": "binary", "c2": "binary", "c3": "binary"},
@@ -52,6 +55,13 @@ def test_compile_bad_constraint(workdir, capsys):
     code = run("compile", "--schema", workdir / "schema.json", "--constraints", workdir / "bad.txt")
     assert code == 2
     assert "offset" in capsys.readouterr().err
+
+
+def test_compile_parse_error_names_the_offset_once(workdir, capsys):
+    kb = workdir / "bad.txt"
+    kb.write_text("color=\n", encoding="utf-8")
+    assert run("compile", "--schema", workdir / "schema.json", "--constraints", kb) == 2
+    assert capsys.readouterr().err == f"error: {kb}:1: expected 'IDENT' (offset 6)\n"
 
 
 def test_compile_empty_warns(workdir, capsys):
@@ -419,8 +429,14 @@ def _spec_without_gev_shape(config):
         ),
         (lambda c: c.update(model=["x"]), ": model: expected an object, got list"),
         (_spec_without_gev_shape, ": detector: gev: params must be ['location', 'scale', "),
+        (lambda c: c.update(n_id=5.9), ": n_id: expected a whole number, got 5.9"),
+        (lambda c: c.update(n_id=0), ": n_id: must be >= 1"),
+        (lambda c: c.update(ood_mode="bogus"), ": ood_mode: unknown mode 'bogus'"),
     ],
-    ids=["n-id-not-a-number", "weight-not-a-number", "model-not-an-object", "gev-without-shape"],
+    ids=[
+        "n-id-not-a-number", "weight-not-a-number", "model-not-an-object", "gev-without-shape",
+        "n-id-fractional", "n-id-zero", "ood-mode-unknown",
+    ],
 )
 def test_synth_bad_field_exit_code(tmp_path, capsys, edit, message):
     spec = json.loads(json.dumps(SYNTH_CONFIG))
@@ -435,6 +451,46 @@ def test_synth_bad_field_exit_code(tmp_path, capsys, edit, message):
 def test_synth_null_optional_fields_are_absent(tmp_path):
     # The README's example config spells an absent alternate model as null.
     config = tmp_path / "spec.json"
-    config.write_text(json.dumps({**SYNTH_CONFIG, "alternate_model": None}), encoding="utf-8")
+    spec = {**SYNTH_CONFIG, "alternate_model": None, "ood_mode": None}
+    config.write_text(json.dumps(spec), encoding="utf-8")
     assert run("synth", "--config", config, "--out-dir", tmp_path / "out") == 0
     assert (tmp_path / "out" / "data.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "search"])
+def test_fit_flag_defaults_are_fit_config(command):
+    required = {
+        "fit": ["--schema", "s", "--constraints", "k", "--train", "t", "--out", "o"],
+        "search": ["--schema", "s", "--train", "t", "--val", "v", "--out", "o"],
+    }
+    args = build_parser().parse_args([command, *required[command]])
+    assert _fit_config(args) == FitConfig()
+
+
+FAMILY_CHOICES = ["gennorm", "gev", "lognormal", "none", "normal", "uniform"]
+
+
+def test_family_choices_are_the_cli_spellings(capsys):
+    assert run("fuse", "--family", "generalized_normal") == 1
+    assert "{" + ",".join(FAMILY_CHOICES) + "}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", FAMILY_CHOICES)
+def test_fuse_dist_out_reads_back_for_every_family(workdir, flag):
+    scores = np.random.default_rng(3).lognormal(0.5, 0.4, 100).tolist()
+    rows = [f"red,true,{s!r}" for s in scores[:75]] + [f"blue,false,{s!r}" for s in scores[75:]]
+    train = workdir / "scored.csv"
+    train.write_text("color,is_octagon,__detector_score\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    weights = _write_weights(
+        workdir,
+        '[{"constraint": "color=red -> is_octagon", "weight": 1.0},'
+        ' {"constraint": "is_octagon", "weight": 1.0}]',
+    )
+    dist = workdir / "dist.json"
+    assert run(
+        "fuse", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--weights", weights, "--train", train, "--data", train, "--family", flag,
+        "--out", workdir / "fused.csv", "--dist-out", dist,
+    ) == 0
+    family = "generalized_normal" if flag == "gennorm" else flag
+    assert load_distribution(dist) == fit_distribution(scores, family)

@@ -218,3 +218,84 @@ def test_params_must_be_the_family_names(tmp_path, family, params):
     with pytest.raises(ValidationError, match="params must be") as err:
         load_distribution(path)
     assert str(path) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Pinned values: fitted params, survival and quantiles on one seeded sample,
+# recorded with numpy 2.4.6 and scipy 1.17.1 before the family table.
+
+PIN_POINTS = [0.0, 1.0, 1.7, 2.5, 4.0, 9.0]
+PIN_PROBS = [0.01, 0.3, 0.5, 0.9, 0.999]
+PINNED_FITS = {  # family: (params, survival at PIN_POINTS, quantile at PIN_PROBS)
+    "gev": (
+        [1.435712772814793, 0.5465002820632797, 0.03224303555839109],
+        [0.9999998262876347, 0.8938343766413427, 0.4614447365391279,
+         0.14037494668353928, 0.012578686363078812, 1.0710253329659563e-05],
+        [0.6213238464092274, 1.3345706750002901, 1.637200381246049,
+         2.7112554236165813, 5.663899018171586],
+    ),
+    "uniform": (
+        [0.5125573198445342, 5.746767559419665],
+        [1.0, 0.9068736909973582, 0.7731381381708022, 0.6202975063690239, 0.3337213217406898, 0.0],
+        [0.5648994222402856, 2.082820391717074, 3.1296624396321,
+         5.223346535462152, 5.741533349180091],
+    ),
+    "normal": (
+        [1.7680175729247452, 0.7406681472505074],
+        [0.9915080863022112, 0.8501146741256144, 0.5365845277118301,
+         0.16150945098692304, 0.0012913860670545362, 8.023921954991929e-23],
+        [0.04496580319875876, 1.3796108167600643, 1.7680175729247452,
+         2.7172219965826514, 4.056854209707722],
+    ),
+    "generalized_normal": (
+        [1.6670528283281083, 0.6310887264171878, 1.1407889911863374],
+        [0.9812189437144838, 0.8534012305725751, 0.47307217419709824,
+         0.10568296130918774, 0.00438875441752743, 2.4080079692009007e-08],
+        [-0.2918563697770722, 1.3773294551780106, 1.6670528283281083,
+         2.5277043391370784, 4.654902111740161],
+    ),
+    "lognormal": (
+        [0.49034117976326075, 0.39928366891504874],
+        [1.0, 0.890286309550862, 0.45981556859064665,
+         0.14303462324414634, 0.01241937321734355, 9.562698507849254e-06],
+        [0.6449828610489814, 1.3243961491501044, 1.6328732282314427,
+         2.7238431088478676, 5.608147621537038],
+    ),
+    "none": ([], [1.0] * 6, None),
+}
+GUMBEL_SF = [0.7523186963342055, 0.5115564199934841, 0.3619438334179814,
+             0.23171701074749737, 0.09241855277712104, 0.0034534005846197234]
+GUMBEL_Q = [-1.7907694387118518, 0.22155986170645137, 1.0497693808724966,
+            3.875550990968668, 10.860882605785573]
+PINNED_GEV_LAWS = {  # shape: (survival at PIN_POINTS, quantile at PIN_PROBS)
+    0.0: (GUMBEL_SF, GUMBEL_Q),
+    5e-7: (GUMBEL_SF, GUMBEL_Q),  # inside the Gumbel limit
+    -0.2: (
+        [0.7486328910793414, 0.5074925032743229, 0.34177729166030146,
+         0.19110294636511593, 0.04223350770832158, 0.0],
+        [-2.1791238917412, 0.2163267076204045, 1.0301030740129604,
+         3.218140177284716, 6.115896696914126],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_FITS))
+def test_fit_survival_and_quantile_match_pinned_values(family):
+    params, sf, q = PINNED_FITS[family]
+    x = np.random.default_rng(2024).lognormal(0.5, 0.4, 400)
+    d = fit_distribution(x, family)
+    assert list(d.params.values()) == params
+    assert survival(d, np.array(PIN_POINTS)).tolist() == sf
+    if q is None:
+        with pytest.raises(ValidationError, match="no quantile"):
+            quantile(d, PIN_PROBS)
+    else:
+        assert quantile(d, PIN_PROBS).tolist() == q
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_GEV_LAWS))
+def test_gev_law_matches_pinned_values(shape):
+    sf, q = PINNED_GEV_LAWS[shape]
+    d = gev(0.5, 1.5, shape)
+    assert survival(d, np.array(PIN_POINTS)).tolist() == sf
+    assert quantile(d, PIN_PROBS).tolist() == q

@@ -1,0 +1,160 @@
+"""One family table: an AST scan fails if distributions.py compares a family
+name with a string literal outside the _FAMILIES table, or if a package
+module imports scipy at module level; a subprocess checks which scipy
+modules each CLI stage loads."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import logicood
+from logicood.distributions import FAMILIES, FAMILY_BY_FLAG
+
+PACKAGE = Path(logicood.__file__).parent
+FAMILY_NAMES = frozenset(FAMILIES) | frozenset(FAMILY_BY_FLAG)
+
+
+def _is_name(node, names):
+    if isinstance(node, ast.Tuple | ast.List | ast.Set):
+        return any(_is_name(e, names) for e in node.elts)
+    return isinstance(node, ast.Constant) and node.value in names
+
+
+def _family_literal_compares(tree, names=FAMILY_NAMES):
+    """Lines outside the `_FAMILIES = {...}` table where a family name is
+    compared with, or matched against, a string literal."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_FAMILIES" for t in child.targets
+            ):
+                continue
+            if isinstance(child, ast.Compare) and any(
+                _is_name(side, names) for side in (child.left, *child.comparators)
+            ):
+                found.append(child.lineno)
+            if isinstance(child, ast.MatchValue) and _is_name(child.value, names):
+                found.append(child.value.lineno)
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def _module_level_scipy_imports(tree):
+    """Lines of scipy imports that run when the module is imported."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda):
+                continue
+            if (
+                isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "scipy"
+            ) or (
+                isinstance(child, ast.Import)
+                and any(a.name.split(".")[0] == "scipy" for a in child.names)
+            ):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_distributions_names_families_only_in_the_table():
+    tree = ast.parse((PACKAGE / "distributions.py").read_text(encoding="utf-8"))
+    assert _family_literal_compares(tree) == []
+
+
+def test_no_module_imports_scipy_at_module_level():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _module_level_scipy_imports(ast.parse(path.read_text(encoding="utf-8"))) == [], (
+            path.name
+        )
+
+
+def test_scans_flag_each_form():
+    source = (
+        "import scipy.stats as sps\n"
+        "from scipy import optimize\n"
+        "_FAMILIES = {'gev': f(lambda p: p == 'gev')}\n"
+        "class C:\n"
+        "    from scipy.special import gamma\n"
+        "    def m(self):\n"
+        "        from scipy import stats\n"
+        "        if self.family == 'gev' or family in ('normal', 'x'):\n"
+        "            return 'gennorm' != name\n"
+        "        match family:\n"
+        "            case 'none':\n"
+        "                pass\n"
+        "        return family == 'cauchy'\n"
+        "f = lambda: __import__('scipy')\n"
+        "if flag:\n"
+        "    import numpy, scipy\n"
+    )
+    tree = ast.parse(source)
+    assert _family_literal_compares(tree, {"gev", "normal", "gennorm", "none"}) == [8, 8, 9, 11]
+    assert _module_level_scipy_imports(tree) == [1, 2, 5, 16]
+
+
+# Runs in a fresh interpreter: the CLI stages in order, then a GEV survival.
+PROBE = """
+import json, sys
+from pathlib import Path
+d = Path(sys.argv[1])
+loaded = {}
+def note(step):
+    loaded[step] = sorted(m for m in ("scipy", "scipy.optimize", "scipy.stats") if m in sys.modules)
+import logicood.cli
+note("import logicood.cli")
+def cli(*argv):
+    assert logicood.cli.main([str(a) for a in argv]) == 0, argv
+model = ("--schema", d / "schema.json", "--constraints", d / "kb.txt")
+cli("score", *model, "--weights", d / "w.json", "--data", d / "data.csv", "--out", d / "s.csv")
+note("score")
+cli("eval", "--schema", d / "schema.json", "--data", d / "data.csv", "--scores", d / "s.csv",
+    "--out", d / "e.json")
+note("eval (metrics.evaluate_scores)")
+cli("fit", *model, "--train", d / "data.csv", "--out", d / "fitted.json")
+note("fit (mln.fit_weights)")
+cli("search", "--schema", d / "schema.json", "--train", d / "data.csv", "--val", d / "data.csv",
+    "--out", d / "search.json")
+note("search")
+from logicood import distributions
+distributions.survival(distributions.ScoreDistribution(
+    "gev", {"location": 0.0, "scale": 1.0, "shape": 0.1}), 0.0)
+note("gev survival")
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_stages_load_only_the_scipy_they_use(tmp_path):
+    (tmp_path / "schema.json").write_text('{"a": "binary", "b": "binary"}', encoding="utf-8")
+    (tmp_path / "kb.txt").write_text("a -> b\n", encoding="utf-8")
+    (tmp_path / "w.json").write_text('[{"constraint": "a -> b", "weight": 1.0}]', encoding="utf-8")
+    rows = ["true,true,0", "false,true,0", "false,false,0", "true,false,1"] * 10
+    (tmp_path / "data.csv").write_text(
+        "a,b,__is_ood\n" + "\n".join(rows) + "\n", encoding="utf-8"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert json.loads(out.stdout) == {
+        "import logicood.cli": [],
+        "score": [],
+        "eval (metrics.evaluate_scores)": [],
+        "fit (mln.fit_weights)": ["scipy", "scipy.optimize"],
+        "search": ["scipy", "scipy.optimize"],
+        # The probe sees a scipy module once one is loaded.
+        "gev survival": ["scipy", "scipy.optimize", "scipy.stats"],
+    }
