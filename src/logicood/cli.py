@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -57,10 +59,18 @@ def _fit_config(args) -> mln.FitConfig:
     )
 
 
-def _explanations(model, data) -> list:
-    return [
-        {
-            "__id": sid,
+def _write_explanations(path, model, data) -> None:
+    """explain.json: one {"__id", "total_score", "constraints"} object per
+    row, byte-identical to json.dumps(objects, indent=2) + "\n". Rows of
+    one world differ only in "__id", so each world is explained and
+    formatted once."""
+    _, first, world_of = np.unique(
+        data.vectors[:, model.mentioned_concepts], axis=0, return_index=True, return_inverse=True
+    )
+    # Each world's members after "__id", as json.dumps indents them in the list.
+    head, tail = "[\n  {", "\n]"
+    members = [
+        json.dumps([{
             "total_score": report.total_score,
             "constraints": [
                 {
@@ -72,9 +82,14 @@ def _explanations(model, data) -> list:
                 }
                 for e in report.entries
             ],
-        }
-        for sid, report in zip(data.sample_ids, mln.explain_batch(model, data.vectors))
+        }], indent=2)[len(head):-len(tail)]
+        for report in mln.explain_batch(model, data.vectors[first])
     ]
+    rows = ",\n".join(
+        f'  {{\n    "__id": {encode_basestring_ascii(sid)},{members[w]}'
+        for sid, w in zip(data.sample_ids, world_of.reshape(-1).tolist())
+    )
+    artifacts.write_text(path, f"[\n{rows}\n]\n" if rows else "[]\n")
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +129,7 @@ def cmd_score(args) -> int:
     scores = mln.mln_score_batch(model, data.vectors)
     artifacts.write_text(args.out, _id_csv("score", data.sample_ids, scores.tolist()))
     if args.explain:
-        artifacts.write_json(args.explain, _explanations(model, data))
+        _write_explanations(args.explain, model, data)
     _log(f"scored {len(data)} rows")
     return EXIT_OK
 
@@ -139,7 +154,7 @@ def cmd_fuse(args) -> int:
     if args.dist_out:
         distributions.save_distribution(dist, args.dist_out)
     if args.explain:
-        artifacts.write_json(args.explain, _explanations(model, data))
+        _write_explanations(args.explain, model, data)
     if args.threshold is not None:
         flags = fusion.threshold(fused, args.threshold).astype(int)
         artifacts.write_text(args.decisions, _id_csv("outlier", data.sample_ids, flags.tolist()))
@@ -294,11 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("search", cmd_search, "greedy constraint-set search",
                 "schema", "train", "val", "out")
+    searching, generating = search.SearchConfig(), search.GeneratorConfig()
     p.add_argument("--accepted-out", default=None)
-    p.add_argument("--delta-min", type=float, default=0.01)
-    p.add_argument("--baseline", type=float, default=0.5)
-    p.add_argument("--max-depth", type=int, default=2)
-    p.add_argument("--connectives", default="->")
+    p.add_argument("--delta-min", type=float, default=searching.delta_min)
+    p.add_argument("--baseline", type=float, default=searching.baseline_j0)
+    p.add_argument("--max-depth", type=int, default=generating.max_depth)
+    p.add_argument("--connectives", default=",".join(generating.connectives))
     p.add_argument("--no-negation", action="store_true")
     p.add_argument("--concepts", default=None)
     _add_fit_flags(p)

@@ -25,17 +25,14 @@ _SHAPE_BOUND = 0.5  # GEV shape clamp keeping the MLE regular
 
 
 def _spread(x):
-    """x, which a family other than uniform can fit only if it varies."""
-    if np.std(x) == 0:
+    """x, which a parametric family can fit only if it varies."""
+    if x.min() == x.max():
         raise ValidationError("zero variance in scores")
     return x
 
 
 def _fit_uniform(x):
-    a, b = x.min(), x.max()
-    if a == b:
-        raise ValidationError("all scores identical")
-    return a, b
+    return _spread(x).min(), x.max()
 
 
 def _fit_lognormal(x):

@@ -50,6 +50,12 @@ class MlnModel:
                     "against another schema than the model's"
                 )
 
+    @property
+    def mentioned_concepts(self) -> tuple[int, ...]:
+        """Schema indices of the concepts the constraints mention, ascending:
+        a row's values on them, its world, decide every constraint."""
+        return tuple(sorted({ci for c in self.constraints for ci in c.concept_indices}))
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -184,7 +190,7 @@ class WorldTable:
 
 def world_table(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> WorldTable:
     """Enumerate the worlds of the concepts the model mentions, under the cap."""
-    concepts = tuple(sorted({ci for c in model.constraints for ci in c.concept_indices}))
+    concepts = model.mentioned_concepts
     sizes = model.schema.domain_sizes
     free = math.prod(s for ci, s in enumerate(sizes) if ci not in concepts)
     phi = satisfaction_matrix(model, enumerate_space(model.schema, space_cap, concepts))

@@ -253,22 +253,17 @@ def _dataset_from_rows(header, rows, schema: Schema, origin: str) -> Dataset:
 
 def save_dataset(data: Dataset, path) -> None:
     """Write a dataset back to the CSV format accepted by load_dataset."""
-    schema = data.schema
-    header = [COL_ID, *schema.names]
+    header, columns = [COL_ID, *data.schema.names], [data.sample_ids]
+    for c, (_, domain) in enumerate(data.schema.concepts):
+        # An object array keeps each value as is; a str array drops trailing NULs.
+        columns.append(np.array(domain, dtype=object)[data.vectors[:, c]].tolist())
     if data.detector_scores is not None:
         header.append(COL_DETECTOR)
+        columns.append([repr(float(s)) for s in data.detector_scores.tolist()])
     if data.is_ood is not None:
         header.append(COL_OOD)
+        columns.append(["1" if flag else "0" for flag in data.is_ood.tolist()])
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in range(len(data)):
-            row = [data.sample_ids[r]]
-            row.extend(
-                schema.concepts[c][1][data.vectors[r, c]] for c in range(len(schema))
-            )
-            if data.detector_scores is not None:
-                row.append(repr(float(data.detector_scores[r])))
-            if data.is_ood is not None:
-                row.append("1" if data.is_ood[r] else "0")
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

@@ -187,8 +187,9 @@ _REQUIRED = object()
 
 
 def _whole(value) -> int:
-    """int(value), refusing to truncate a fractional number."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value) of a JSON number, refusing a fractional one, a bool or a
+    string."""
+    if isinstance(value, bool | str) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected a whole number, got {value!r}")
     return int(value)
 

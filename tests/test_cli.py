@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from explain_reference import explain_json
 from logicood.cli import _fit_config, build_parser, main
-from logicood.constraints import MAX_DEPTH
+from logicood.constraints import MAX_DEPTH, load_constraints
 from logicood.distributions import fit_distribution, load_distribution
-from logicood.mln import FitConfig
+from logicood.mln import FitConfig, MlnModel, load_weights
+from logicood.schema import load_dataset, load_schema
+from logicood.search import GeneratorConfig, SearchConfig
 
 SYNTH_CONFIG = {
     "schema": {"c0": "binary", "c1": "binary", "c2": "binary", "c3": "binary"},
@@ -140,6 +143,40 @@ def test_score_and_explain(workdir):
     assert entry["total_score"] == pytest.approx(
         sum(c["contribution"] for c in entry["constraints"])
     )
+
+
+def test_score_and_fuse_write_the_same_explain_json(workdir):
+    weights = _write_weights(
+        workdir,
+        '[{"constraint": "color=red -> is_octagon", "weight": 1.5},'
+        ' {"constraint": "is_octagon", "weight": -0.75}]',
+    )
+    data = workdir / "data.csv"
+    ids = ['"quoted"', "back\\slash", "café", "tab\there", "plain"] * 4
+    rows = [
+        f'"{sid.replace(chr(34), 2 * chr(34))}_{i}",{color},{octagon}'
+        for i, (sid, color, octagon) in enumerate(
+            zip(ids, ["red", "blue", "white", "red"] * 5, ["true", "false"] * 10)
+        )
+    ]
+    data.write_text("__id,color,is_octagon\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    model = ["--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+             "--weights", weights, "--data", data]
+    assert run("score", *model, "--out", workdir / "s.csv", "--explain", workdir / "score.json") == 0
+    assert run(
+        "fuse", *model, "--train", workdir / "train.csv", "--family", "none",
+        "--out", workdir / "f.csv", "--explain", workdir / "fuse.json",
+    ) == 0
+    written = (workdir / "score.json").read_bytes()
+    assert written == (workdir / "fuse.json").read_bytes()
+    sch = load_schema(workdir / "schema.json")
+    constraints = load_constraints(workdir / "kb.txt", sch)
+    reference = explain_json(
+        MlnModel(sch, tuple(constraints), load_weights(weights, constraints)),
+        load_dataset(data, sch),
+    )
+    assert written == reference.encode("utf-8")
+    assert [entry["__id"] for entry in json.loads(written)] == [f"{s}_{i}" for i, s in enumerate(ids)]
 
 
 def _synth_pipeline(tmp_path, seed):
@@ -422,7 +459,7 @@ def _spec_without_gev_shape(config):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda c: c.update(n_id="abc"), ": n_id: invalid literal for int()"),
+        (lambda c: c.update(n_id="abc"), ": n_id: expected a whole number, got 'abc'"),
         (
             lambda c: c["model"].update(weights=["x", 2.5]),
             ": model: could not convert string to float",
@@ -432,10 +469,12 @@ def _spec_without_gev_shape(config):
         (lambda c: c.update(n_id=5.9), ": n_id: expected a whole number, got 5.9"),
         (lambda c: c.update(n_id=0), ": n_id: must be >= 1"),
         (lambda c: c.update(ood_mode="bogus"), ": ood_mode: unknown mode 'bogus'"),
+        (lambda c: c.update(n_id=True, n_ood="7"), ": n_id: expected a whole number, got True"),
+        (lambda c: c.update(n_ood="7"), ": n_ood: expected a whole number, got '7'"),
     ],
     ids=[
         "n-id-not-a-number", "weight-not-a-number", "model-not-an-object", "gev-without-shape",
-        "n-id-fractional", "n-id-zero", "ood-mode-unknown",
+        "n-id-fractional", "n-id-zero", "ood-mode-unknown", "n-id-bool", "n-ood-numeric-string",
     ],
 )
 def test_synth_bad_field_exit_code(tmp_path, capsys, edit, message):
@@ -465,6 +504,19 @@ def test_fit_flag_defaults_are_fit_config(command):
     }
     args = build_parser().parse_args([command, *required[command]])
     assert _fit_config(args) == FitConfig()
+
+
+def test_search_flag_defaults_are_the_configs():
+    args = build_parser().parse_args(
+        ["search", "--schema", "s", "--train", "t", "--val", "v", "--out", "o"]
+    )
+    generating, searching = GeneratorConfig(), SearchConfig()
+    assert args.max_depth == generating.max_depth
+    assert tuple(args.connectives.split(",")) == generating.connectives
+    assert (not args.no_negation) == generating.allow_negation
+    assert args.concepts == generating.concepts
+    assert args.delta_min == searching.delta_min
+    assert args.baseline == searching.baseline_j0
 
 
 FAMILY_CHOICES = ["gennorm", "gev", "lognormal", "none", "normal", "uniform"]

@@ -75,6 +75,14 @@ def test_fit_guards():
         fit_distribution([1.0] * 30, "cauchy")
 
 
+@pytest.mark.parametrize("family", ["gev", "uniform", "normal", "generalized_normal", "lognormal"])
+@pytest.mark.parametrize("value", [0.1, 1.0])
+def test_constant_scores_have_zero_variance(family, value):
+    # np.std([0.1] * 30) is 2.8e-17, not 0: the mean of 0.1s is not exact.
+    with pytest.raises(ValidationError, match=f"^{family} fit: zero variance in scores$"):
+        fit_distribution([value] * 30, family)
+
+
 def test_none_family_trivial():
     d = fit_distribution([], "none")
     assert survival(d, 123.0) == 1.0

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -8,6 +9,9 @@ from logicood.errors import ValidationError
 from logicood.metrics import evaluate_scores
 from logicood.mln import enumerate_space
 from logicood.schema import (
+    COL_DETECTOR,
+    COL_ID,
+    COL_OOD,
     Dataset,
     Schema,
     id_subset,
@@ -197,6 +201,51 @@ def test_dataset_roundtrip(tmp_path, schema, rng):
     assert back.sample_ids == data.sample_ids
     assert np.array_equal(back.detector_scores, data.detector_scores)
     assert np.array_equal(back.is_ood, data.is_ood)
+
+
+def _save_dataset_row_loop(data, path):
+    """save_dataset as it was written before the column-wise writer: one
+    numpy scalar read per cell."""
+    schema = data.schema
+    header = [COL_ID, *schema.names]
+    if data.detector_scores is not None:
+        header.append(COL_DETECTOR)
+    if data.is_ood is not None:
+        header.append(COL_OOD)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r in range(len(data)):
+            row = [data.sample_ids[r]]
+            row.extend(
+                schema.concepts[c][1][data.vectors[r, c]] for c in range(len(schema))
+            )
+            if data.detector_scores is not None:
+                row.append(repr(float(data.detector_scores[r])))
+            if data.is_ood is not None:
+                row.append("1" if data.is_ood[r] else "0")
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("scores", [False, True])
+@pytest.mark.parametrize("flags", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_save_dataset_bytes_match_the_row_loop(tmp_path, rng, scores, flags, n):
+    schema = Schema((
+        ("shape", ("round", "a,b", 'say "hi"', "x\ny", " ", "nul\x00")),
+        ("is_octagon", ("false", "true")),
+        ("level", ("0", "1", "2")),
+    ))
+    data = Dataset(
+        schema,
+        (rng.random((n, 3)) * schema.domain_sizes).astype(np.int64),
+        tuple(f"s{i}" if i % 7 else f'"id, {i}"' for i in range(n)),
+        np.concatenate([[-0.0, 1e300, 5e-324], rng.normal(size=n)])[:n] if scores else None,
+        rng.random(n) < 0.5 if flags else None,
+    )
+    save_dataset(data, tmp_path / "new.csv")
+    _save_dataset_row_loop(data, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_space_size_matches_enumeration(rng):
