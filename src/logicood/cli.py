@@ -31,9 +31,22 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _id_csv(column, ids, cells) -> str:
-    """`__id,<column>`, then one `id,repr(cell)` line per row."""
-    return "".join([f"__id,{column}\n", *(f"{sid},{cell!r}\n" for sid, cell in zip(ids, cells))])
+def _write_id_csv(path, column, ids, cells) -> None:
+    """`__id,<column>`, then one `id,repr(cell)` row per sample; an id that
+    holds a comma, a quote or a newline is CSV-quoted."""
+    with artifacts.atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["__id", column])
+        writer.writerows(zip(ids, cells))
+
+
+def _load_datasets(first, second, schema):
+    """The datasets at two paths, parsed once when both name the same file
+    (a Dataset is read-only, so the two may share it)."""
+    data = schema_mod.load_dataset(first, schema)
+    if os.path.realpath(first) == os.path.realpath(second):
+        return data, data
+    return data, schema_mod.load_dataset(second, schema)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -127,7 +140,7 @@ def cmd_score(args) -> int:
     model = _load_model(args)
     data = schema_mod.load_dataset(args.data, model.schema)
     scores = mln.mln_score_batch(model, data.vectors)
-    artifacts.write_text(args.out, _id_csv("score", data.sample_ids, scores.tolist()))
+    _write_id_csv(args.out, "score", data.sample_ids, scores.tolist())
     if args.explain:
         _write_explanations(args.explain, model, data)
     _log(f"scored {len(data)} rows")
@@ -138,8 +151,8 @@ def cmd_fuse(args) -> int:
     if args.threshold is not None and not args.decisions:
         raise ValidationError("--threshold requires --decisions <path>")
     model = _load_model(args)
-    data = schema_mod.load_dataset(args.data, model.schema)
-    reference = schema_mod.id_subset(schema_mod.load_dataset(args.train, model.schema))
+    data, reference = _load_datasets(args.data, args.train, model.schema)
+    reference = schema_mod.id_subset(reference)
     family = distributions.FAMILY_BY_FLAG[args.family]
     if family != "none" and reference.detector_scores is None:
         raise ValidationError(
@@ -150,14 +163,14 @@ def cmd_fuse(args) -> int:
         fused = mln.mln_score_batch(model, data.vectors)
     else:
         fused = fusion.fuse_batch(fusion.FusedScorer(model, dist), data)
-    artifacts.write_text(args.out, _id_csv("score", data.sample_ids, fused.tolist()))
+    _write_id_csv(args.out, "score", data.sample_ids, fused.tolist())
     if args.dist_out:
         distributions.save_distribution(dist, args.dist_out)
     if args.explain:
         _write_explanations(args.explain, model, data)
     if args.threshold is not None:
         flags = fusion.threshold(fused, args.threshold).astype(int)
-        artifacts.write_text(args.decisions, _id_csv("outlier", data.sample_ids, flags.tolist()))
+        _write_id_csv(args.decisions, "outlier", data.sample_ids, flags.tolist())
     _log(f"fused {len(data)} rows with family {family}")
     return EXIT_OK
 
@@ -165,7 +178,7 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     sch = schema_mod.load_schema(args.schema)
     data = schema_mod.load_dataset(args.data, sch)
-    with open(args.scores, encoding="utf-8") as fh:
+    with open(args.scores, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["__id", "score"]:
@@ -205,8 +218,7 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     sch = schema_mod.load_schema(args.schema)
-    train = schema_mod.load_dataset(args.train, sch)
-    val = schema_mod.load_dataset(args.val, sch)
+    train, val = _load_datasets(args.train, args.val, sch)
     concepts = tuple(args.concepts.split(",")) if args.concepts else None
     pool = search.generate_candidates(
         sch,

@@ -228,9 +228,6 @@ class _SufficientStats:
     worlds: WorldTable
     data_means: np.ndarray  # (M,) empirical satisfaction rates
 
-    def nll(self, w: np.ndarray) -> float:
-        return float(_logsumexp(self.worlds.phi @ w) + self.worlds.log_free - self.data_means @ w)
-
     def nll_grad(self, w: np.ndarray):
         energies = self.worlds.phi @ w
         log_z = _logsumexp(energies)
@@ -292,7 +289,7 @@ def fit_weights(
         return FitResult(replace(model, weights=np.zeros(0)), (np.nan,), 0, stats.worlds)
     w0 = np.full(len(model.constraints), cfg.init_weight)
 
-    history = [stats.nll(w0)]
+    history = [stats.nll_grad(w0)[0]]
     if not np.isfinite(history[0]):
         raise NumericalError("non-finite NLL at initialization")
 
@@ -359,5 +356,10 @@ def load_weights(path, constraints) -> np.ndarray:
             raise ValidationError(
                 f"{path}: entry {i}: weight must be a number, got {weight!r}"
             )
-        weights[i] = weight
+        try:
+            weights[i] = weight
+        except OverflowError:  # an integer past the float range
+            weights[i] = math.inf if weight > 0 else -math.inf
+        if not math.isfinite(weights[i]):
+            raise ValidationError(f"{path}: entry {i}: weight must be finite, got {weights[i]}")
     return weights

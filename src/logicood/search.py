@@ -12,16 +12,18 @@ acceptance margin delta_min.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .constraints import CONNECTIVES, Atom, CompiledConstraint, Node, Not, compile_constraint, pretty
 from .errors import NumericalError, ValidationError
 from .metrics import auroc_from_counts
-from .mln import FitConfig, FitResult, MlnModel, enumerate_space, fit_weights, scores_from_columns
+from .mln import FitConfig, FitResult, MlnModel, fit_weights, scores_from_columns
 from .schema import Dataset, Schema, id_subset
 
-_CONNECTIVES = {c.token: c.node for c in CONNECTIVES}
+_CONNECTIVES = {c.token: c for c in CONNECTIVES}
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,10 @@ class CandidatePool:
         return len(self.candidates)
 
 
-def _truth_signature(ast: Node, schema: Schema, worlds) -> bytes:
-    compiled = compile_constraint(ast, schema)
-    return compiled.evaluate_batch(worlds).tobytes()
+class _Literal(NamedTuple):
+    ast: Node
+    concept: int  # position in the concept selection
+    truth: np.ndarray  # on the concept's values [false, true]
 
 
 def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePool:
@@ -70,53 +73,51 @@ def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePoo
                 f"candidate generation uses bare literals; concept {name!r} is not binary"
             )
 
-    literals: list[Node] = []
-    for name in names:
-        literals.append(Atom(name, "true"))
+    literals: list[_Literal] = []
+    for position, name in enumerate(names):
+        literals.append(_Literal(Atom(name, "true"), position, np.array([False, True])))
         if config.allow_negation:
-            literals.append(Not(Atom(name, "true")))
+            literals.append(_Literal(Not(Atom(name, "true")), position, np.array([True, False])))
+    connectives = [_CONNECTIVES[token] for token in config.connectives]
 
-    def concept_of(literal: Node) -> str:
-        return (literal.child if isinstance(literal, Not) else literal).concept
-
-    # Truth tables over the selected concepts only keep dedup cheap even
-    # when the full schema space is large.
-    worlds = enumerate_space(schema, concepts=[schema.concept_index(n) for n in names])
-
+    # A candidate is keyed by the concepts it names and its truth table over
+    # those concepts alone. The key is exact because every connective depends
+    # on both operands and a candidate names each concept once, so a
+    # candidate depends on every concept it names: two candidates are
+    # equivalent exactly when they name the same concepts and have the same
+    # table. Were a connective to ignore an operand, the key could only keep
+    # a duplicate; it could never merge two different candidates.
     pool: list[Node] = []
-    seen: set[bytes] = set()
+    seen: set[tuple[tuple[int, ...], bytes]] = set()
 
-    def add(ast: Node) -> None:
-        sig = _truth_signature(ast, schema, worlds)
-        if sig not in seen:
-            seen.add(sig)
+    def add(ast: Node, lits: list[_Literal], truth) -> None:
+        """Pool ast unless an equivalent candidate is pooled; truth maps its
+        literals' truths, each on its own axis, to its table."""
+        concepts = [lit.concept for lit in lits]
+        table = truth(*np.meshgrid(*(lit.truth for lit in lits), indexing="ij", sparse=True))
+        key = (tuple(sorted(concepts)), np.transpose(table, np.argsort(concepts)).tobytes())
+        if key not in seen:
+            seen.add(key)
             pool.append(ast)
 
     for lit in literals:
-        add(lit)
+        add(lit.ast, [lit], lambda x: x)
 
     if config.max_depth >= 2:
-        for conn in config.connectives:
-            cls = _CONNECTIVES[conn]
-            for a in literals:
-                for b in literals:
-                    if concept_of(a) == concept_of(b):
-                        continue
-                    add(cls(a, b))
+        for conn in connectives:
+            for a, b in product(literals, repeat=2):
+                if a.concept != b.concept:
+                    add(conn.node(a.ast, b.ast), [a, b], conn.truth)
 
     if config.max_depth >= 3:
-        for outer in config.connectives:
-            outer_cls = _CONNECTIVES[outer]
-            for inner in config.connectives:
-                inner_cls = _CONNECTIVES[inner]
-                for a in literals:
-                    for b in literals:
-                        for c in literals:
-                            used = {concept_of(a), concept_of(b), concept_of(c)}
-                            if len(used) < 3:
-                                continue
-                            add(outer_cls(a, inner_cls(b, c)))
-                            add(outer_cls(inner_cls(a, b), c))
+        for outer, inner in product(connectives, repeat=2):
+            for a, b, c in product(literals, repeat=3):
+                if len({a.concept, b.concept, c.concept}) < 3:
+                    continue
+                add(outer.node(a.ast, inner.node(b.ast, c.ast)), [a, b, c],
+                    lambda x, y, z: outer.truth(x, inner.truth(y, z)))
+                add(outer.node(inner.node(a.ast, b.ast), c.ast), [a, b, c],
+                    lambda x, y, z: outer.truth(inner.truth(x, y), z))
 
     return CandidatePool(config, tuple(pool))
 

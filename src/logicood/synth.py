@@ -139,30 +139,12 @@ def attach_detector_scores(data: Dataset, spec: SynthSpec) -> Dataset:
     return Dataset(data.schema, data.vectors, data.sample_ids, scores, data.is_ood)
 
 
-def concat(a: Dataset, b: Dataset) -> Dataset:
-    """Stack two datasets over the same schema (row order a then b)."""
-    if a.schema != b.schema:
-        raise ValidationError("datasets have different schemas")
-
-    def merge(x, y):
-        if x is None and y is None:
-            return None
-        if x is None or y is None:
-            raise ValidationError("cannot concat datasets with mismatched columns")
-        return np.concatenate([x, y])
-
-    return Dataset(
-        a.schema,
-        np.concatenate([a.vectors, b.vectors]),
-        a.sample_ids + b.sample_ids,
-        merge(a.detector_scores, b.detector_scores),
-        merge(a.is_ood, b.is_ood),
-    )
-
-
 def make_benchmark(spec: SynthSpec) -> Dataset:
-    """ID + OOD rows with detector scores when a detector law is given."""
-    data = concat(sample_id(spec), sample_ood(spec))
+    """ID rows then OOD rows, with detector scores when a detector law is given."""
+    ids, oods = sample_id(spec), sample_ood(spec)
+    vectors = np.concatenate([ids.vectors, oods.vectors])
+    is_ood = np.concatenate([ids.is_ood, oods.is_ood])
+    data = Dataset(spec.schema, vectors, ids.sample_ids + oods.sample_ids, is_ood=is_ood)
     if spec.detector is not None:
         data = attach_detector_scores(data, spec)
     return data

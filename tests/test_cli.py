@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from explain_reference import explain_json
+from logicood import schema as schema_mod
 from logicood.cli import _fit_config, build_parser, main
 from logicood.constraints import MAX_DEPTH, load_constraints
 from logicood.distributions import fit_distribution, load_distribution
@@ -296,8 +298,16 @@ def _write_weights(workdir, text):
          "entry 0: weight must be a number, got None"),
         ('[{"constraint": "color=red -> is_octagon", "weight": 1}, {"constraint": "is_octagon", "weight": "x"}]',
          "entry 1: weight must be a number, got 'x'"),
+        ('[{"constraint": "color=red -> is_octagon", "weight": NaN}, {"constraint": "is_octagon", "weight": 1}]',
+         "entry 0: weight must be finite, got nan"),
+        ('[{"constraint": "color=red -> is_octagon", "weight": 1}, {"constraint": "is_octagon", "weight": 1e999}]',
+         "entry 1: weight must be finite, got inf"),
+        ('[{"constraint": "color=red -> is_octagon", "weight": -1' + "0" * 400 + "}, "
+         '{"constraint": "is_octagon", "weight": 1}]',
+         "entry 0: weight must be finite, got -inf"),
     ],
-    ids=["malformed-json", "non-object-entry", "missing-weight", "non-numeric-weight"],
+    ids=["malformed-json", "non-object-entry", "missing-weight", "non-numeric-weight",
+         "nan-weight", "overflowing-weight", "overflowing-integer-weight"],
 )
 def test_score_bad_weights_file_exit_code(workdir, capsys, text, message):
     weights = _write_weights(workdir, text)
@@ -332,6 +342,88 @@ def test_eval_bad_score_row(workdir, capsys, rows, message):
     )
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def _labeled_with_ids(workdir, ids):
+    """A labeled, detector-scored dataset whose ids are CSV-quoted as needed."""
+    path = workdir / "labeled.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["__id", "color", "is_octagon", "__detector_score", "__is_ood"])
+        for i, sid in enumerate(ids):
+            writer.writerow([sid, ["red", "blue"][i % 2], "true", float(i), i % 2])
+    return path
+
+
+def _unit_weights(workdir):
+    return _write_weights(
+        workdir,
+        '[{"constraint": "color=red -> is_octagon", "weight": 1.0},'
+        ' {"constraint": "is_octagon", "weight": 1.0}]',
+    )
+
+
+def _id_column(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row[0] for row in csv.reader(fh)][1:]
+
+
+def test_ids_that_need_quoting_round_trip_to_eval(workdir):
+    ids = ["x,1", 'q"2', "two\nlines", "plain"]
+    data = _labeled_with_ids(workdir, ids)
+    weights = _unit_weights(workdir)
+    model = ("--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+             "--weights", weights, "--data", data)
+    scores, fused, decisions = workdir / "s.csv", workdir / "f.csv", workdir / "d.csv"
+    assert run("score", *model, "--out", scores) == 0
+    assert run("fuse", *model, "--train", data, "--family", "none", "--out", fused,
+               "--threshold", 0.5, "--decisions", decisions) == 0
+    for path in (scores, fused, decisions):
+        assert _id_column(path) == ids
+    # Only the ids that need quoting are quoted.
+    assert scores.read_text(encoding="utf-8").startswith('__id,score\n"x,1",')
+    assert "\nplain," in scores.read_text(encoding="utf-8")
+    for path in (scores, fused):
+        assert run("eval", "--schema", workdir / "schema.json", "--data", data,
+                   "--scores", path, "--out", workdir / "r.json") == 0
+
+
+def test_id_with_a_bare_carriage_return_fails_eval(workdir, capsys):
+    # csv.writer quotes only the line terminator's characters, so "\r" stays
+    # bare and reads back as a row break: eval must refuse, not misalign.
+    data = _labeled_with_ids(workdir, ["a\rb", "c"])
+    weights = _unit_weights(workdir)
+    scores = workdir / "s.csv"
+    assert run("score", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+               "--weights", weights, "--data", data, "--out", scores) == 0
+    code = run("eval", "--schema", workdir / "schema.json", "--data", data,
+               "--scores", scores, "--out", workdir / "r.json")
+    assert code == 2
+    assert "3 scores for 2 data rows" in capsys.readouterr().err
+
+
+def test_a_file_named_by_two_flags_is_parsed_once(workdir, monkeypatch):
+    parsed = []
+    load = schema_mod.load_dataset
+    monkeypatch.setattr(
+        schema_mod, "load_dataset", lambda path, schema: parsed.append(path) or load(path, schema)
+    )
+    data = _labeled_with_ids(workdir, ["a", "b", "c", "d"])
+    same = workdir / "link.csv"  # another name for the same file
+    same.symlink_to(data)
+    weights = _unit_weights(workdir)
+    assert run("fuse", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+               "--weights", weights, "--train", data, "--data", same, "--family", "none",
+               "--out", workdir / "f.csv") == 0
+    assert run("search", "--schema", workdir / "schema.json", "--train", data, "--val", same,
+               "--concepts", "is_octagon", "--out", workdir / "search.json") == 0
+    assert parsed == [str(same), str(data)]
+    # Two different files are each parsed.
+    other = workdir / "other.csv"
+    other.write_bytes(data.read_bytes())
+    assert run("search", "--schema", workdir / "schema.json", "--train", data, "--val", other,
+               "--concepts", "is_octagon", "--out", workdir / "search.json") == 0
+    assert parsed[2:] == [str(data), str(other)]
 
 
 def test_search_connectives_separate_value(tmp_path):

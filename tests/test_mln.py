@@ -423,13 +423,13 @@ def reference_fit(m, data, cfg):
     """fit_weights with the NLL recomputed at every accepted iterate."""
     stats = mln._stats(m, data, cfg.space_cap)
     w0 = np.full(len(m.constraints), cfg.init_weight)
-    history = [stats.nll(w0)]
+    history = [stats.nll_grad(w0)[0]]
     result = optimize.minimize(
         stats.nll_grad,
         w0,
         jac=True,
         method="L-BFGS-B",
-        callback=lambda wk: history.append(stats.nll(wk)),
+        callback=lambda wk: history.append(stats.nll_grad(wk)[0]),
         options={"maxiter": cfg.max_epochs, "ftol": cfg.convergence_tol, "gtol": 1e-12},
     )
     return tuple(history), result.x, result.nit

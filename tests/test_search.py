@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import candidates_reference
 from conftest import random_ast, random_schema, random_vectors
 from logicood.constraints import compile_constraint, compile_source, parse, pretty
 from logicood.errors import NumericalError, ValidationError
@@ -47,6 +48,47 @@ def test_pool_size_formula_14_concepts():
     pool = generate_candidates(schema, GeneratorConfig(max_depth=2))
     n = 14
     assert len(pool) == 2 * n + 2 * n * (n - 1)  # 392
+
+
+def test_pool_size_formula_24_concepts():
+    # 2^24 worlds of the selection: past the space cap, which the pool's
+    # dedup no longer enumerates.
+    schema = schema_from_dict({f"a{i}": "binary" for i in range(24)})
+    pool = generate_candidates(schema, GeneratorConfig(max_depth=2))
+    n = 24
+    assert len(pool) == 2 * n + 2 * n * (n - 1)  # 1152
+
+
+@st.composite
+def generator_inputs(draw):
+    """A schema of at most 6 binary concepts beside up to 2 non-binary ones,
+    in a drawn order, and a config over a drawn, permuted selection."""
+    binary = [f"b{i}" for i in range(draw(st.integers(1, 6)))]
+    other = [f"m{i}" for i in range(draw(st.integers(0, 2)))]
+    order = draw(st.permutations(binary + other))
+    schema = schema_from_dict(
+        {name: "binary" if name in binary else ["x", "y", "z"] for name in order}
+    )
+    selections = st.lists(st.sampled_from(binary), min_size=1, unique=True).map(tuple)
+    # No selection means every concept, which only an all-binary schema allows.
+    selection = draw(selections if other else st.none() | selections)
+    config = GeneratorConfig(
+        max_depth=draw(st.integers(1, 3)),
+        connectives=tuple(
+            draw(st.lists(st.sampled_from(["->", "xor", "or", "and"]), min_size=1, unique=True))
+        ),
+        allow_negation=draw(st.booleans()),
+        concepts=selection,
+    )
+    return schema, config
+
+
+@given(generator_inputs())
+@settings(max_examples=100, deadline=None)
+def test_pool_equals_pool_space_reference(inputs):
+    schema, config = inputs
+    pool = generate_candidates(schema, config)
+    assert pool == candidates_reference.generate_candidates(schema, config)
 
 
 def test_pool_no_logical_duplicates():

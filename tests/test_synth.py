@@ -13,7 +13,6 @@ from logicood.synth import (
     DetectorSpec,
     SynthSpec,
     attach_detector_scores,
-    concat,
     make_benchmark,
     sample_id,
     sample_ood,
@@ -135,14 +134,6 @@ def test_attach_requires_flags():
     bare = Dataset(data.schema, data.vectors, data.sample_ids)
     with pytest.raises(ValidationError, match="flagged"):
         attach_detector_scores(bare, s)
-
-
-def test_concat_mismatched_columns():
-    a = sample_id(spec())
-    det = DetectorSpec("normal", {"mean": 0.0, "std": 1.0}, {"mean": 1.0, "std": 1.0})
-    b = attach_detector_scores(sample_ood(spec(detector=det)), spec(detector=det))
-    with pytest.raises(ValidationError, match="mismatched"):
-        concat(a, b)
 
 
 def test_end_to_end_weight_recovery():

@@ -1,6 +1,7 @@
 """One world table: an AST scan of the package fails if rows are coded to
-worlds anywhere but mln.WorldTable.codes, or if greedy_search evaluates a
-constraint itself instead of reading the fit's world table."""
+worlds anywhere but mln.WorldTable.codes, if greedy_search evaluates a
+constraint itself instead of reading the fit's world table, or if
+candidate generation compiles, evaluates or enumerates anything."""
 
 import ast
 from pathlib import Path
@@ -68,17 +69,22 @@ def _world_coding(tree):
     return found
 
 
-def _evaluations(function):
-    """(called name, line) of every constraint evaluation in a function,
+def _calls(function, names):
+    """(called name, line) of every call to one of names in a function,
     nested functions included."""
     found = []
     for node in ast.walk(function):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in EVALUATIONS:
+            if name in names:
                 found.append((name, node.lineno))
     return found
+
+
+def _evaluations(function):
+    """(called name, line) of every constraint evaluation in a function."""
+    return _calls(function, EVALUATIONS)
 
 
 def _function(tree, name):
@@ -102,8 +108,22 @@ def test_greedy_search_evaluates_no_constraint():
     tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
     greedy = _function(tree, "greedy_search")
     assert _evaluations(greedy) == []
-    # The scan sees the pool's own truth tables, so it is not blind.
-    assert _evaluations(_function(tree, "_truth_signature"))
+    # The scan sees the world table's own evaluation, so it is not blind.
+    mln_tree = ast.parse((PACKAGE / "mln.py").read_text(encoding="utf-8"))
+    assert _evaluations(_function(mln_tree, "world_table"))
+
+
+def test_candidate_generation_compiles_and_enumerates_nothing():
+    """Candidates are deduplicated on truth tables composed from the
+    connectives' truth functions, not on compiled constraints evaluated
+    over an enumerated space."""
+    tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    generate = _function(tree, "generate_candidates")
+    assert _evaluations(generate) == []
+    building = {"compile_constraint", "compile_source", "enumerate_space"}
+    assert _calls(generate, building) == []
+    # The scan sees greedy_search compile each candidate, so it is not blind.
+    assert _calls(_function(tree, "greedy_search"), building)
 
 
 def test_scans_flag_each_form():
