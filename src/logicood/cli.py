@@ -32,12 +32,17 @@ def _log(message: str) -> None:
 
 
 def _write_id_csv(path, column, ids, cells) -> None:
-    """`__id,<column>`, then one `id,repr(cell)` row per sample; an id that
-    holds a comma, a quote or a newline is CSV-quoted."""
+    """`__id,<column>`, then one `id,repr(cell)` row per sample; an id with a
+    comma, quote or newline is CSV-quoted, and a row whose id has a \\r is quoted whole."""
     with artifacts.atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["__id", column])
-        writer.writerows(zip(ids, cells))
+        rows = zip(ids, cells)
+        if "\r" in "".join(ids):
+            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            for row in rows:
+                (quoted if "\r" in row[0] else writer).writerow(row)
+        writer.writerows(rows)
 
 
 def _load_datasets(first, second, schema):
@@ -150,6 +155,8 @@ def cmd_score(args) -> int:
 def cmd_fuse(args) -> int:
     if args.threshold is not None and not args.decisions:
         raise ValidationError("--threshold requires --decisions <path>")
+    if args.decisions and args.threshold is None:
+        raise ValidationError("--decisions requires --threshold <tau>")
     model = _load_model(args)
     data, reference = _load_datasets(args.data, args.train, model.schema)
     reference = schema_mod.id_subset(reference)
@@ -163,14 +170,14 @@ def cmd_fuse(args) -> int:
         fused = mln.mln_score_batch(model, data.vectors)
     else:
         fused = fusion.fuse_batch(fusion.FusedScorer(model, dist), data)
+    flags = None if args.threshold is None else fusion.threshold(fused, args.threshold)
     _write_id_csv(args.out, "score", data.sample_ids, fused.tolist())
     if args.dist_out:
         distributions.save_distribution(dist, args.dist_out)
     if args.explain:
         _write_explanations(args.explain, model, data)
-    if args.threshold is not None:
-        flags = fusion.threshold(fused, args.threshold).astype(int)
-        _write_id_csv(args.decisions, "outlier", data.sample_ids, flags.tolist())
+    if flags is not None:
+        _write_id_csv(args.decisions, "outlier", data.sample_ids, flags.astype(int).tolist())
     _log(f"fused {len(data)} rows with family {family}")
     return EXIT_OK
 

@@ -5,7 +5,8 @@ detector scores into [0, 1] "how extreme is this" values. The default
 family is the generalized extreme value distribution; uniform, normal,
 generalized normal, lognormal, and a pass-through `none` family are
 available for ablations. Each family is one entry of `_FAMILIES`, and
-scipy is imported only inside the functions that call it.
+scipy is imported only inside the functions that call it: the laws use
+`scipy.special` alone, and only the generalized-normal fit `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -140,39 +141,130 @@ def _fit_gennorm(x):
 # The family table: everything the package knows about each family.
 
 
+class _Law(NamedTuple):
+    """A standard law on support (a, b), moved and scaled as scipy.stats's
+    rv_continuous does it, step for step, so that sf, cdf, ppf and logpdf
+    equal scipy.stats's bit for bit with no import of scipy.stats."""
+
+    loc: float
+    scale: float
+    support: tuple[float, float]
+    std: tuple  # standard sf and cdf inside (a, b), ppf on (0, 1), logpdf on [a, b]
+    valid: bool = True  # scipy.stats's check of the shape parameters
+
+    def _loc(self):  # NaN, which makes every value NaN, for parameters scipy.stats rejects
+        return self.loc if self.valid and self.scale > 0 else np.nan
+
+    def _at(self, x, f, closed, below, above):
+        """f at the standardized x inside the support, else `below` or `above` it; NaN at NaN."""
+        a, b = self.support
+        with np.errstate(all="ignore"):  # infinities and NaN are values of the law here
+            z = (np.asarray(x, dtype=np.float64) - self._loc()) / self.scale
+            inside = (a <= z) & (z <= b) if closed else (a < z) & (z < b)
+            out = np.where(np.isnan(z), np.nan, np.where(z <= a, below, above))
+            out[inside] = f(z[inside])
+        return out
+
+    def sf(self, x):
+        return self._at(x, self.std[0], False, 1.0, 0.0)
+
+    def cdf(self, x):
+        return self._at(x, self.std[1], False, 0.0, 1.0)
+
+    def ppf(self, q):
+        q = np.asarray(q, dtype=np.float64)
+        (a, b), scale, loc = self.support, self.scale, self._loc()
+        out = np.where(q == 0, a * scale + loc, np.where(q == 1, b * scale + loc, np.nan))
+        inside = (0 < q) & (q < 1)
+        out[inside] = self.std[2](q[inside]) * scale + loc
+        return out
+
+    def logpdf(self, x):
+        return self._at(x, lambda z: self.std[3](z) - np.log(self.scale), True, -np.inf, -np.inf)
+
+
+def _gev_law(sc, location, scale, shape):
+    c = 0.0 if abs(shape) < _GUMBEL_SHAPE_EPS else -shape  # genextreme's c, or gumbel_r's 0
+
+    def loglogcdf(z):  # log(-log(cdf))
+        return sc.log1p(-c * z) / c if c else -z
+
+    def ppf(q):
+        x = -np.log(-np.log(q))
+        return -sc.expm1(-c * x) / c if c else x
+
+    def logpdf(z):
+        cx, lpex2 = c * z if c else 0.0, loglogcdf(z)
+        out = np.where((cx == 1) | (cx == -np.inf), -np.inf, -np.exp(lpex2) + lpex2 - sc.log1p(-cx))
+        out[(c == 1) & (z == 1)] = 0.0
+        return out
+
+    return _Law(location, scale, (1.0 / c if c < 0 else -np.inf, 1.0 / c if c > 0 else np.inf), (
+        lambda z: -sc.expm1(-np.exp(loglogcdf(z))), lambda z: np.exp(-np.exp(loglogcdf(z))),
+        ppf, logpdf,
+    ), np.isfinite(c))
+
+
+def _lognormal_law(sc, log_mean, s):
+    def logpdf(z):  # s * s: scipy's s**2 is numpy's exact square of an array
+        logpdf = -np.log(z)**2 / (2 * (s * s)) - np.log(s * z * np.sqrt(2 * np.pi))
+        return np.where(z != 0, logpdf, -np.inf)
+
+    return _Law(0.0, math.exp(log_mean), (0.0, np.inf), (
+        lambda z: sc.ndtr(-(np.log(z) / s)), lambda z: sc.ndtr(np.log(z) / s),
+        lambda q: np.exp(s * sc.ndtri(q)), logpdf,
+    ), s > 0)
+
+
+def _gennorm_law(sc, location, scale, shape):
+    # A one-element array, as scipy holds it: with a scalar exponent, np.power
+    # takes another loop for a single point and can differ in the last ulp.
+    beta = np.array([shape])
+
+    def cdf(z):
+        c = 0.5 * np.sign(z)
+        return (0.5 + c) - c * sc.gammaincc(1.0 / beta, abs(z)**beta)
+
+    def ppf(q):
+        c = np.sign(q - 0.5)
+        return c * sc.gammainccinv(1.0 / beta, (1.0 + c) - 2.0 * c * q)**(1.0 / beta)
+
+    return _Law(location, scale, (-np.inf, np.inf), (
+        lambda z: cdf(-z), cdf, ppf,
+        lambda z: np.log(0.5 * beta) - sc.gammaln(1.0 / beta) - abs(z)**beta,
+    ), shape > 0)
+
+
 class _Family(NamedTuple):
     params: tuple[str, ...]  # in the order dist.json writes them
     positive: tuple[str, ...] = ()  # params that must be > 0
     fit: Callable | None = None  # finite sample -> param values; None passes scores through
-    law: Callable | None = None  # (scipy.stats, *param values) -> frozen scipy law
+    law: Callable | None = None  # (scipy.special, *param values) -> _Law
     ordered: tuple[str, ...] = ()  # params that must strictly increase
     flag: str | None = None  # the CLI's --family spelling, when not the name
-
-
-def _gev_law(sps, location, scale, shape):
-    if abs(shape) < _GUMBEL_SHAPE_EPS:
-        return sps.gumbel_r(loc=location, scale=scale)
-    return sps.genextreme(-shape, loc=location, scale=scale)  # scipy's shape is -ours
 
 
 _FAMILIES = {
     "gev": _Family(("location", "scale", "shape"), ("scale",), _fit_gev, _gev_law),
     "uniform": _Family(
-        ("a", "b"), (), _fit_uniform, lambda sps, a, b: sps.uniform(loc=a, scale=b - a),
+        ("a", "b"), (), _fit_uniform,
+        lambda sc, a, b: _Law(
+            a, b - a, (0.0, 1.0), (lambda z: 1.0 - z, lambda z: z, lambda q: q, np.zeros_like)
+        ),
         ordered=("a", "b"),
     ),
     "normal": _Family(
         ("mean", "std"), ("std",), lambda x: (_spread(x).mean(), x.std()),
-        lambda sps, mean, std: sps.norm(loc=mean, scale=std),
+        lambda sc, mean, std: _Law(mean, std, (-np.inf, np.inf), (
+            lambda z: sc.ndtr(-z), sc.ndtr, sc.ndtri,
+            lambda z: -z**2 / 2.0 - np.log(np.sqrt(2 * np.pi)),
+        )),
     ),
     "generalized_normal": _Family(
-        ("location", "scale", "shape"), ("scale", "shape"), _fit_gennorm,
-        lambda sps, loc, scale, shape: sps.gennorm(shape, loc=loc, scale=scale), flag="gennorm",
+        ("location", "scale", "shape"), ("scale", "shape"), _fit_gennorm, _gennorm_law,
+        flag="gennorm",
     ),
-    "lognormal": _Family(
-        ("log_mean", "log_std"), ("log_std",), _fit_lognormal,
-        lambda sps, log_mean, log_std: sps.lognorm(log_std, scale=math.exp(log_mean)),
-    ),
+    "lognormal": _Family(("log_mean", "log_std"), ("log_std",), _fit_lognormal, _lognormal_law),
     "none": _Family(()),
 }
 FAMILIES = tuple(_FAMILIES)
@@ -231,14 +323,14 @@ def fit_distribution(scores, family: str) -> ScoreDistribution:
 # Survival / CDF
 
 
-def _law(d: ScoreDistribution):
-    """The frozen scipy law of d, or None for the pass-through family."""
+def _law(d: ScoreDistribution) -> _Law | None:
+    """The law of d, or None for the pass-through family."""
     fam = _FAMILIES[d.family]
     if fam.law is None:
         return None
-    from scipy import stats
+    from scipy import special
 
-    return fam.law(stats, *(d.params[k] for k in fam.params))
+    return fam.law(special, *(d.params[k] for k in fam.params))
 
 
 def survival(d: ScoreDistribution, s) -> np.ndarray | float:
@@ -255,7 +347,7 @@ def quantile(d: ScoreDistribution, u) -> np.ndarray:
     law = _law(d)
     if law is None:
         raise ValidationError(f"the `{d.family}` family has no quantile function")
-    return np.asarray(law.ppf(u), dtype=np.float64)
+    return law.ppf(u)
 
 
 # ---------------------------------------------------------------------------

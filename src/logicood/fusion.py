@@ -40,4 +40,6 @@ def threshold(scores, tau: float) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValidationError("scores must be finite")
+    if not np.isfinite(tau):
+        raise ValidationError(f"threshold must be finite, got {tau}")
     return scores >= tau

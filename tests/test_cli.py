@@ -388,18 +388,26 @@ def test_ids_that_need_quoting_round_trip_to_eval(workdir):
                    "--scores", path, "--out", workdir / "r.json") == 0
 
 
-def test_id_with_a_bare_carriage_return_fails_eval(workdir, capsys):
-    # csv.writer quotes only the line terminator's characters, so "\r" stays
-    # bare and reads back as a row break: eval must refuse, not misalign.
-    data = _labeled_with_ids(workdir, ["a\rb", "c"])
+def test_id_with_a_bare_carriage_return_round_trips_to_eval(workdir):
+    # csv.writer quotes only the line terminator's characters, so a row whose
+    # id holds a bare "\r" is quoted whole; every other row is written as before.
+    ids = ["a\rb", "c", "d,e"]
+    data = _labeled_with_ids(workdir, ids)
     weights = _unit_weights(workdir)
-    scores = workdir / "s.csv"
-    assert run("score", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
-               "--weights", weights, "--data", data, "--out", scores) == 0
-    code = run("eval", "--schema", workdir / "schema.json", "--data", data,
-               "--scores", scores, "--out", workdir / "r.json")
-    assert code == 2
-    assert "3 scores for 2 data rows" in capsys.readouterr().err
+    model = ("--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+             "--weights", weights, "--data", data)
+    scores, fused, decisions = workdir / "s.csv", workdir / "f.csv", workdir / "d.csv"
+    assert run("score", *model, "--out", scores) == 0
+    assert run("fuse", *model, "--train", data, "--family", "none", "--out", fused,
+               "--threshold", 0.5, "--decisions", decisions) == 0
+    for path in (scores, fused, decisions):
+        assert _id_column(path) == ids
+        lines = path.read_bytes().split(b"\n")
+        assert lines[1].startswith(b'"a\rb","') and lines[2].startswith(b"c,")
+        assert lines[3].startswith(b'"d,e",') and lines[4] == b""
+    for path in (scores, fused):
+        assert run("eval", "--schema", workdir / "schema.json", "--data", data,
+                   "--scores", path, "--out", workdir / "r.json") == 0
 
 
 def test_a_file_named_by_two_flags_is_parsed_once(workdir, monkeypatch):
@@ -483,6 +491,35 @@ def test_fuse_threshold_without_decisions_writes_nothing(workdir, capsys):
     )
     assert code == 2
     assert "--threshold requires --decisions" in capsys.readouterr().err
+    assert not any(p.exists() for p in outputs)
+
+
+def test_fuse_decisions_without_threshold_writes_nothing(workdir, capsys):
+    # w.json does not exist: the flags are checked before any file is read.
+    decisions = workdir / "d.csv"
+    code = run(
+        "fuse", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--weights", workdir / "w.json", "--train", workdir / "train.csv",
+        "--data", workdir / "train.csv", "--family", "none", "--out", workdir / "fused.csv",
+        "--decisions", decisions,
+    )
+    assert code == 2
+    assert "--decisions requires --threshold" in capsys.readouterr().err
+    assert not decisions.exists() and not (workdir / "fused.csv").exists()
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_fuse_rejects_a_non_finite_threshold(workdir, capsys, tau):
+    weights = _unit_weights(workdir)
+    outputs = [workdir / "fused.csv", workdir / "d.csv"]
+    code = run(
+        "fuse", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--weights", weights, "--train", workdir / "train.csv",
+        "--data", workdir / "train.csv", "--family", "none", "--out", outputs[0],
+        "--threshold", tau, "--decisions", outputs[1],
+    )
+    assert code == 2
+    assert "threshold must be finite" in capsys.readouterr().err
     assert not any(p.exists() for p in outputs)
 
 

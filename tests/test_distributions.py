@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distributions_reference import frozen_law
 from logicood.distributions import (
     ScoreDistribution,
+    _law,
     fit_diagnostics,
     fit_distribution,
     load_distribution,
@@ -160,6 +162,92 @@ def test_survival_extremes_on_fitted(rng):
         d = fit_distribution(x, family)
         assert survival(d, x.min() - 10 * span) >= 0.99
         assert survival(d, x.max() + 10 * span) <= 0.01
+
+
+# ---------------------------------------------------------------------------
+# The laws against scipy.stats, bit for bit
+
+
+def _params(family, draw):
+    real, positive = st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)
+    if family == "gev":
+        shape = st.sampled_from([0.0, 5e-7, -5e-7, 1e-6, -1e-6, 0.5, -0.5, 1.0, -1.0])
+        shape = shape | st.floats(-2e-6, 2e-6) | st.floats(-0.6, 0.6) | st.floats(-3, 3)
+        return {"location": draw(real), "scale": draw(positive), "shape": draw(shape)}
+    if family == "uniform":
+        a = draw(real)
+        return {"a": a, "b": a + draw(positive)}
+    if family == "normal":
+        return {"mean": draw(real), "std": draw(positive)}
+    if family == "generalized_normal":
+        shape = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 10)
+        return {"location": draw(real), "scale": draw(positive), "shape": draw(shape)}
+    return {"log_mean": draw(st.floats(-5, 5)), "log_std": draw(st.floats(0.05, 5))}
+
+
+def _same(mine, theirs):
+    mine, theirs = np.asarray(mine), np.asarray(theirs)
+    assert mine.shape == theirs.shape
+    assert np.all((mine == theirs) | (np.isnan(mine) & np.isnan(theirs))), (mine, theirs)
+
+
+SPECIAL_X = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, -1e300]
+SPECIAL_Q = [0.0, 1.0, np.nan, -0.5, 1.5, -np.inf, np.inf, 5e-324, 1e-300, 1 - 1e-16, 0.5]
+
+
+def _check_against_scipy(d, drawn, u):
+    """sf, cdf and logpdf at the support ends and their neighbours, the special
+    points, `drawn` and the law's own quantiles at u; ppf at the special
+    probabilities, u and its tails; each as an array and as scalars."""
+    law, ref = _law(d), frozen_law(d)
+    lo, hi = ref.support()
+    ends = [lo, hi, *np.nextafter([lo, lo, hi, hi], [-np.inf, np.inf] * 2)]
+    with np.errstate(all="ignore"):
+        x = np.array([*SPECIAL_X, *ends, *drawn, *ref.ppf(u), *ref.ppf(u**40)])
+        q = np.array([*SPECIAL_Q, *u, *u**40, *(1 - u**40), *drawn])
+        for name, points in (("sf", x), ("cdf", x), ("logpdf", x), ("ppf", q)):
+            _same(getattr(law, name)(points), getattr(ref, name)(points))
+            for point in points[: len(SPECIAL_X) + len(ends)]:  # a scalar's path through numpy
+                _same(getattr(law, name)(point), getattr(ref, name)(point))
+        _same(survival(d, x), np.clip(ref.sf(x), 0.0, 1.0))
+        _same(quantile(d, q), ref.ppf(q))
+
+
+@given(
+    family=st.sampled_from(["gev", "uniform", "normal", "generalized_normal", "lognormal"]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_law_equals_scipy_stats_bit_for_bit(family, data):
+    d = ScoreDistribution(family, _params(family, data.draw))
+    drawn = data.draw(st.lists(st.floats(), max_size=20))
+    u = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(64)
+    _check_against_scipy(d, drawn, u)
+
+
+# At +-0.41 the support end z = 1/c gives c * z < 1, so the open mask decides sf and cdf there.
+@pytest.mark.parametrize(
+    "shape", [0.0, 5e-7, -5e-7, 1e-6, -1e-6, 0.3, -0.3, 0.41, -0.41, 0.5, -0.5, 1.0, -1.0]
+)
+def test_gev_shapes_at_the_gumbel_switch_and_the_bounds_equal_scipy_stats(shape):
+    u = np.random.default_rng(7).random(2000)
+    for location, scale in ((0.0, 1.0), (1.4, 0.55), (-3.0, 7.0)):
+        _check_against_scipy(gev(location, scale, shape), [], u)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("gev", {"location": 0.0, "scale": 1.0, "shape": np.nan}),
+        ("gev", {"location": 0.0, "scale": np.nan, "shape": 0.2}),
+        ("normal", {"mean": 0.0, "std": np.nan}),
+        ("generalized_normal", {"location": 0.0, "scale": 1.0, "shape": np.nan}),
+        ("lognormal", {"log_mean": 0.0, "log_std": np.nan}),
+        ("lognormal", {"log_mean": -800.0, "log_std": 1.0}),  # its scale underflows to 0
+    ],
+)
+def test_parameters_scipy_stats_rejects_give_nan_as_it_does(family, params):
+    _check_against_scipy(ScoreDistribution(family, params), [], np.linspace(0.1, 0.9, 9))
 
 
 # ---------------------------------------------------------------------------

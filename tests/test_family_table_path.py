@@ -1,7 +1,8 @@
 """One family table: an AST scan fails if distributions.py compares a family
-name with a string literal outside the _FAMILIES table, or if a package
-module imports scipy at module level; a subprocess checks which scipy
-modules each CLI stage loads."""
+name with a string literal outside the _FAMILIES table, if a package
+module imports scipy at module level, or if distributions.py imports
+scipy.stats outside the generalized-normal fit; a subprocess checks which
+scipy modules each CLI stage loads."""
 
 import ast
 import json
@@ -67,6 +68,45 @@ def _module_level_scipy_imports(tree):
     return found
 
 
+def _scipy_stats_imports(tree):
+    """(enclosing top-level function or None, line) of each scipy.stats import."""
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and (node.module == "scipy.stats" or (
+                    node.module == "scipy" and any(a.name == "stats" for a in node.names)
+                ))
+            ) or (
+                isinstance(node, ast.Import) and any(a.name == "scipy.stats" for a in node.names)
+            ):
+                found.append((owner, node.lineno))
+    return found
+
+
+def test_distributions_imports_scipy_stats_only_in_the_gennorm_fit():
+    tree = ast.parse((PACKAGE / "distributions.py").read_text(encoding="utf-8"))
+    owners = {owner for owner, _ in _scipy_stats_imports(tree)}
+    assert owners == {"_fit_gennorm", "_gennorm_profile_nll"}
+
+
+def test_scipy_stats_scan_flags_each_form():
+    source = (
+        "import scipy.stats as sps\n"
+        "def f():\n"
+        "    from scipy import optimize, stats\n"
+        "    from scipy.special import ndtr\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from scipy.stats import gennorm\n"
+        "def g():\n"
+        "    import scipy.stats\n"
+    )
+    assert _scipy_stats_imports(ast.parse(source)) == [(None, 1), ("f", 3), (None, 7), ("g", 9)]
+
+
 def test_distributions_names_families_only_in_the_table():
     tree = ast.parse((PACKAGE / "distributions.py").read_text(encoding="utf-8"))
     assert _family_literal_compares(tree) == []
@@ -104,6 +144,8 @@ def test_scans_flag_each_form():
 
 
 # Runs in a fresh interpreter: the CLI stages in order, then a GEV survival.
+# synth draws GEV detector scores through the quantile before any stage has
+# loaded scipy.optimize; fuse fits and applies a GEV after fit and search.
 PROBE = """
 import json, sys
 from pathlib import Path
@@ -121,11 +163,16 @@ note("score")
 cli("eval", "--schema", d / "schema.json", "--data", d / "data.csv", "--scores", d / "s.csv",
     "--out", d / "e.json")
 note("eval (metrics.evaluate_scores)")
+cli("synth", "--config", d / "spec.json", "--out-dir", d / "synth")
+note("synth (gev quantile)")
 cli("fit", *model, "--train", d / "data.csv", "--out", d / "fitted.json")
 note("fit (mln.fit_weights)")
 cli("search", "--schema", d / "schema.json", "--train", d / "data.csv", "--val", d / "data.csv",
     "--out", d / "search.json")
 note("search")
+cli("fuse", *model, "--weights", d / "w.json", "--train", d / "synth" / "data.csv",
+    "--data", d / "synth" / "data.csv", "--family", "gev", "--out", d / "f.csv")
+note("fuse --family gev")
 from logicood import distributions
 distributions.survival(distributions.ScoreDistribution(
     "gev", {"location": 0.0, "scale": 1.0, "shape": 0.1}), 0.0)
@@ -138,6 +185,17 @@ def test_cli_stages_load_only_the_scipy_they_use(tmp_path):
     (tmp_path / "schema.json").write_text('{"a": "binary", "b": "binary"}', encoding="utf-8")
     (tmp_path / "kb.txt").write_text("a -> b\n", encoding="utf-8")
     (tmp_path / "w.json").write_text('[{"constraint": "a -> b", "weight": 1.0}]', encoding="utf-8")
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "schema": {"a": "binary", "b": "binary"},
+        "model": {"constraints": ["a -> b"], "weights": [1.0]},
+        "n_id": 40,
+        "n_ood": 40,
+        "detector": {
+            "family": "gev",
+            "id_params": {"location": 0.0, "scale": 1.0, "shape": 0.1},
+            "ood_params": {"location": 1.5, "scale": 1.0, "shape": -0.1},
+        },
+    }), encoding="utf-8")
     rows = ["true,true,0", "false,true,0", "false,false,0", "true,false,1"] * 10
     (tmp_path / "data.csv").write_text(
         "a,b,__is_ood\n" + "\n".join(rows) + "\n", encoding="utf-8"
@@ -153,8 +211,10 @@ def test_cli_stages_load_only_the_scipy_they_use(tmp_path):
         "import logicood.cli": [],
         "score": [],
         "eval (metrics.evaluate_scores)": [],
+        "synth (gev quantile)": ["scipy"],  # scipy.special alone
         "fit (mln.fit_weights)": ["scipy", "scipy.optimize"],
         "search": ["scipy", "scipy.optimize"],
         # The probe sees a scipy module once one is loaded.
-        "gev survival": ["scipy", "scipy.optimize", "scipy.stats"],
+        "fuse --family gev": ["scipy", "scipy.optimize"],
+        "gev survival": ["scipy", "scipy.optimize"],
     }

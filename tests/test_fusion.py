@@ -136,3 +136,9 @@ def test_threshold_extremes():
 def test_threshold_rejects_non_finite():
     with pytest.raises(ValidationError):
         threshold([float("inf")], 0.0)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+def test_threshold_rejects_a_non_finite_tau(tau):
+    with pytest.raises(ValidationError, match="threshold must be finite"):
+        threshold([0.1, 0.9], tau)
