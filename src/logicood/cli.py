@@ -344,13 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_connectives(argv):
-    """Rewrite `--connectives VALUE` as `--connectives=VALUE`: argparse
-    reads a separate value that starts with '-', such as "->,xor", as a
-    flag."""
+# Flags whose value may start with '-' without being a plain negative
+# number, such as "->,xor", "-inf" or "-1e3": argparse reads such a
+# separate value as a flag.
+_DASHED_VALUES = (
+    "--connectives", "--threshold", "--delta-min", "--baseline", "--tol", "--init-weight",
+)
+
+
+def _attach_values(argv):
+    """Rewrite `FLAG VALUE` as `FLAG=VALUE` for each flag in _DASHED_VALUES."""
     joined, rest = [], iter(argv)
     for arg in rest:
-        value = next(rest, None) if arg == "--connectives" else None
+        value = next(rest, None) if arg in _DASHED_VALUES else None
         joined.append(arg if value is None else f"{arg}={value}")
     return joined
 
@@ -359,7 +365,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_attach_connectives(argv))
+        args = parser.parse_args(_attach_values(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -171,9 +171,10 @@ def satisfaction_matrix(model: MlnModel, rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WorldTable:
-    """The worlds of the concepts a knowledge base mentions, enumerated once
-    per fit: log Z, the fit's data counts and the search's validation
-    AUROC all read this one table."""
+    """The worlds of the concepts a knowledge base mentions, enumerated once:
+    log Z, a fit's data counts and the search's validation AUROC all read
+    this one table. A table over more concepts serves every model whose
+    concepts and constraints it covers (see restrict)."""
 
     concepts: tuple[int, ...]  # mentioned schema indices, ascending
     sizes: tuple[int, ...]  # their domain sizes
@@ -187,14 +188,47 @@ class WorldTable:
             return np.zeros(columns.shape[1], dtype=np.intp)
         return np.ravel_multi_index(tuple(columns[ci] for ci in self.concepts), self.sizes)
 
+    def restrict(self, model: MlnModel, columns) -> WorldTable:
+        """world_table(model), read from this table: the model mentions a
+        subset of its concepts and its constraints are the given columns.
+        The worlds whose other concepts are 0 are the model's worlds, in
+        enumerate_space's order, so phi is the same array."""
+        concepts = model.mentioned_concepts
+        if not set(concepts).issubset(self.concepts):
+            raise ValidationError("the model mentions a concept outside the world table")
+        columns = list(columns)
+        if concepts == self.concepts and columns == list(range(self.phi.shape[1])):
+            return self
+        kept = [ci in concepts for ci in self.concepts]
+        worlds = np.arange(len(self.phi)).reshape(self.sizes)[
+            tuple(slice(None) if keep else 0 for keep in kept)
+        ]
+        return WorldTable(
+            concepts,
+            tuple(size for size, keep in zip(self.sizes, kept) if keep),
+            self.phi[np.ix_(worlds.ravel(), columns)],
+            _log_free(model.schema, concepts),
+        )
+
+    def marginal(self, counts: np.ndarray, concepts) -> np.ndarray:
+        """Counts per world of this table summed onto the worlds of a subset
+        of its concepts, in enumerate_space's order; integer counts stay
+        exact."""
+        other = tuple(axis for axis, ci in enumerate(self.concepts) if ci not in concepts)
+        return counts.reshape(self.sizes).sum(axis=other).ravel()
+
+
+def _log_free(schema: Schema, concepts) -> float:
+    """log of the number of assignments to the concepts outside the given ones."""
+    return math.log(math.prod(s for ci, s in enumerate(schema.domain_sizes) if ci not in concepts))
+
 
 def world_table(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> WorldTable:
     """Enumerate the worlds of the concepts the model mentions, under the cap."""
     concepts = model.mentioned_concepts
-    sizes = model.schema.domain_sizes
-    free = math.prod(s for ci, s in enumerate(sizes) if ci not in concepts)
+    sizes = tuple(model.schema.domain_sizes[ci] for ci in concepts)
     phi = satisfaction_matrix(model, enumerate_space(model.schema, space_cap, concepts))
-    return WorldTable(concepts, tuple(sizes[ci] for ci in concepts), phi, math.log(free))
+    return WorldTable(concepts, sizes, phi, _log_free(model.schema, concepts))
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -202,15 +236,15 @@ def _logsumexp(a: np.ndarray) -> np.float64:
     steps on the same (1,)-shaped intermediates, without the per-call cost
     of scipy's array-API dispatch."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, keepdims=True)
+        a_max = a.max(keepdims=True)
         at_max = a == a_max
-        m = np.sum(at_max, keepdims=True, dtype=np.float64)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), keepdims=True)
+        m = at_max.sum(keepdims=True, dtype=np.float64)
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
         if not np.isfinite(out[0]):
             # scipy's fallback for infinite and NaN results.
-            out = np.log(np.sum(np.exp(a), keepdims=True))
+            out = np.log(np.exp(a).sum(keepdims=True))
     return out[0]
 
 
@@ -222,11 +256,18 @@ def log_partition(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> float:
 
 
 @dataclass(frozen=True)
-class _SufficientStats:
-    """Everything NLL needs after one pass over data and space."""
+class SufficientStats:
+    """Everything NLL needs: the model's world table and the data means."""
 
     worlds: WorldTable
     data_means: np.ndarray  # (M,) empirical satisfaction rates
+
+    @classmethod
+    def from_counts(cls, worlds: WorldTable, counts: np.ndarray) -> SufficientStats:
+        """Statistics of data rows given as integer counts per world of the
+        table. The sums stay exact integers, so the means equal
+        satisfaction_matrix(data).mean(axis=0)."""
+        return cls(worlds, counts @ worlds.phi / counts.sum())
 
     def nll_grad(self, w: np.ndarray):
         energies = self.worlds.phi @ w
@@ -241,16 +282,14 @@ class _SufficientStats:
         )
 
 
-def _stats(model: MlnModel, data: Dataset, space_cap: int) -> _SufficientStats:
+def _stats(model: MlnModel, data: Dataset, space_cap: int) -> SufficientStats:
     if data.schema != model.schema:
         raise ValidationError("dataset schema differs from the model's")
     if len(data) == 0:
         raise ValidationError("cannot fit on an empty dataset")
     worlds = world_table(model, space_cap)
-    # Counting data rows per mentioned world keeps every sum an exact
-    # integer, so the means equal satisfaction_matrix(data).mean(axis=0).
     counts = np.bincount(worlds.codes(data.vectors.T), minlength=len(worlds.phi))
-    return _SufficientStats(worlds, counts @ worlds.phi / len(data))
+    return SufficientStats.from_counts(worlds, counts)
 
 
 def nll_and_gradient(
@@ -270,7 +309,7 @@ class FitResult:
     model: MlnModel
     nll_history: tuple[float, ...]  # NLL at init and after each accepted step
     epochs_used: int
-    worlds: WorldTable  # the mentioned worlds the fit enumerated
+    worlds: WorldTable  # the model's world table, which the fit read
 
 
 def fit_weights(
@@ -282,9 +321,15 @@ def fit_weights(
     iterations is non-increasing, and fitting stops when the improvement
     drops below cfg.convergence_tol or after cfg.max_epochs steps.
     """
+    return fit_stats(model, _stats(model, data, cfg.space_cap), cfg)
+
+
+def fit_stats(model: MlnModel, stats: SufficientStats, cfg: FitConfig) -> FitResult:
+    """fit_weights from the model's sufficient statistics: the one L-BFGS
+    call site, which greedy search also uses. cfg.space_cap is not read;
+    the statistics' world table has already been enumerated."""
     from scipy import optimize
 
-    stats = _stats(model, data, cfg.space_cap)
     if not model.constraints:
         return FitResult(replace(model, weights=np.zeros(0)), (np.nan,), 0, stats.worlds)
     w0 = np.full(len(model.constraints), cfg.init_weight)

@@ -11,16 +11,25 @@ acceptance margin delta_min.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .constraints import CONNECTIVES, Atom, CompiledConstraint, Node, Not, compile_constraint, pretty
+from .constraints import CONNECTIVES, Atom, Node, Not, compile_constraint, pretty
 from .errors import NumericalError, ValidationError
 from .metrics import auroc_from_counts
-from .mln import FitConfig, FitResult, MlnModel, fit_weights, scores_from_columns
+from .mln import (
+    FitConfig,
+    MlnModel,
+    SufficientStats,
+    WorldTable,
+    fit_stats,
+    scores_from_columns,
+    world_table,
+)
 from .schema import Dataset, Schema, id_subset
 
 _CONNECTIVES = {c.token: c for c in CONNECTIVES}
@@ -55,7 +64,16 @@ class CandidatePool:
 class _Literal(NamedTuple):
     ast: Node
     concept: int  # position in the concept selection
-    truth: np.ndarray  # on the concept's values [false, true]
+    # axes[k - 1][r]: the truth on the concept's values [false, true], laid
+    # along axis r of a k-literal table and of length 1 on the others.
+    axes: tuple[tuple[np.ndarray, ...], ...]
+
+
+def _axes(truth: np.ndarray, depth: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    return tuple(
+        tuple(truth.reshape([2 if axis == r else 1 for axis in range(k)]) for r in range(k))
+        for k in range(1, depth + 1)
+    )
 
 
 def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePool:
@@ -75,9 +93,11 @@ def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePoo
 
     literals: list[_Literal] = []
     for position, name in enumerate(names):
-        literals.append(_Literal(Atom(name, "true"), position, np.array([False, True])))
+        truth = np.array([False, True])
+        literals.append(_Literal(Atom(name, "true"), position, _axes(truth, config.max_depth)))
         if config.allow_negation:
-            literals.append(_Literal(Not(Atom(name, "true")), position, np.array([True, False])))
+            negated = _axes(~truth, config.max_depth)
+            literals.append(_Literal(Not(Atom(name, "true")), position, negated))
     connectives = [_CONNECTIVES[token] for token in config.connectives]
 
     # A candidate is keyed by the concepts it names and its truth table over
@@ -92,10 +112,12 @@ def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePoo
 
     def add(ast: Node, lits: list[_Literal], truth) -> None:
         """Pool ast unless an equivalent candidate is pooled; truth maps its
-        literals' truths, each on its own axis, to its table."""
-        concepts = [lit.concept for lit in lits]
-        table = truth(*np.meshgrid(*(lit.truth for lit in lits), indexing="ij", sparse=True))
-        key = (tuple(sorted(concepts)), np.transpose(table, np.argsort(concepts)).tobytes())
+        literals' truths, each on its own axis, to its table. Each literal
+        takes the axis of its concept's rank, so the table comes out in
+        ascending concept order."""
+        concepts = sorted(lit.concept for lit in lits)
+        table = truth(*(lit.axes[len(lits) - 1][concepts.index(lit.concept)] for lit in lits))
+        key = (tuple(concepts), table.tobytes())
         if key not in seen:
             seen.add(key)
             pool.append(ast)
@@ -163,15 +185,41 @@ class SearchResult:
         }
 
 
+class _Tally(NamedTuple):
+    """A world table with the training-ID rows and the validation ID and
+    OOD rows counted per world."""
+
+    table: WorldTable
+    train: np.ndarray
+    val_id: np.ndarray
+    val_ood: np.ndarray
+
+
+def _tally(model: MlnModel, train_id: Dataset, val: Dataset, space_cap: int) -> _Tally:
+    """Enumerate the worlds of the model's concepts under the cap and code
+    every row into them once."""
+    table = world_table(model, space_cap)
+    n = len(table.phi)
+    val_counts = np.bincount(2 * table.codes(val.vectors.T) + val.is_ood, minlength=2 * n)
+    train = np.bincount(table.codes(train_id.vectors.T), minlength=n)
+    return _Tally(table, train, val_counts[0::2], val_counts[1::2])
+
+
 def greedy_search(
     train: Dataset, val: Dataset, pool: CandidatePool, config: SearchConfig
 ) -> SearchResult:
     """One pass over the pool, accepting candidates that lift validation
     AUROC by more than delta_min; exactly len(pool) fit/evaluate rounds.
 
-    No constraint is evaluated on a validation row: each fit's AUROC comes
-    from the counts of ID and OOD validation rows per world the fit
-    enumerated, each world scored once."""
+    Every fit reads one pool table: the worlds of every concept a seed or
+    candidate mentions, with each constraint's column and the training and
+    validation rows counted per world, built once. A fit takes the worlds
+    whose other pool concepts are 0 and the columns of its members, and
+    sums the counts onto them, so its statistics and its validation AUROC
+    are those of its own world table, bit for bit, and no constraint is
+    evaluated on a row. When the pool has more worlds than the space cap
+    or than there are training and validation rows, each fit builds and
+    counts its own table instead."""
     if len(pool) == 0:
         raise ValidationError("candidate pool is empty")
     if val.schema != train.schema:
@@ -182,44 +230,64 @@ def greedy_search(
     if len(train_id) == 0:
         raise ValidationError("training set has no ID rows")
     schema = train.schema
-    columns = np.ascontiguousarray(val.vectors.T)
-    is_ood = val.is_ood.astype(np.intp)
+    space_cap = config.fit.space_cap
 
-    def fit(constraints):
-        base = MlnModel(schema, tuple(constraints), np.zeros(len(constraints)))
-        return fit_weights(base, train_id, config.fit)
+    seeds = [compile_constraint(ast, schema, constraint_id=i)
+             for i, ast in enumerate(config.seed_constraints)]
+    candidates = [compile_constraint(ast, schema) for ast in pool.candidates]
 
-    def val_auroc(fitted: FitResult) -> float:
-        """A constraint reads only the concepts it mentions, so a row scores
-        as its world: bit-equal to auroc over mln_score_batch of every row."""
-        worlds = fitted.worlds
-        n = len(worlds.phi)
-        counts = np.bincount(2 * worlds.codes(columns) + is_ood, minlength=2 * n)
-        scores = scores_from_columns(fitted.model.weights, worlds.phi.T, n)
-        return auroc_from_counts(scores, counts[0::2], counts[1::2])
+    def unfitted(constraints):
+        constraints = tuple(constraints)
+        return MlnModel(schema, constraints, np.zeros(len(constraints)))
 
-    working: list[CompiledConstraint] = []
-    for ast in config.seed_constraints:
-        working.append(compile_constraint(ast, schema, constraint_id=len(working)))
-    best_j = config.baseline_j0
-    best = fit(working)
-    if working:
-        best_j = max(best_j, val_auroc(best))
+    # A fit sums the pool counts over every pool world, and the pool table
+    # holds a column per candidate over every pool world. With more pool
+    # worlds than rows, coding the rows into each fit's own table costs
+    # less time and memory.
+    pool_model = unfitted(seeds + candidates)
+    pool_worlds = math.prod(schema.domain_sizes[ci] for ci in pool_model.mentioned_concepts)
+    if pool_worlds <= min(space_cap, len(train_id) + len(val)):
+        pooled = _tally(pool_model, train_id, val, space_cap)
+    else:
+        pooled = None
+
+    def fit(members):
+        """Fit the (pool column, constraint) members; the result and its
+        validation AUROC."""
+        model = unfitted(c for _, c in members)
+        if pooled is None:
+            tally, columns = _tally(model, train_id, val, space_cap), range(len(members))
+        else:
+            tally, columns = pooled, [column for column, _ in members]
+        table = tally.table.restrict(model, columns)
+
+        def counts(per_world):
+            return tally.table.marginal(per_world, table.concepts)
+
+        stats = SufficientStats.from_counts(table, counts(tally.train))
+        fitted = fit_stats(model, stats, config.fit)
+        # A constraint reads only the concepts it mentions, so a row scores
+        # as its world: bit-equal to auroc over mln_score_batch of every row.
+        scores = scores_from_columns(fitted.model.weights, table.phi.T, len(table.phi))
+        return fitted, auroc_from_counts(scores, counts(tally.val_id), counts(tally.val_ood))
+
+    working = list(enumerate(seeds))
+    best, j = fit(working)
+    best_j = max(config.baseline_j0, j) if working else config.baseline_j0
 
     audit: list[AuditEntry] = []
-    for ast in pool.candidates:
+    for column, (ast, candidate) in enumerate(zip(pool.candidates, candidates), len(seeds)):
         source = pretty(ast)
-        candidate = compile_constraint(ast, schema, constraint_id=len(working))
+        member = (column, replace(candidate, constraint_id=len(working)))
         try:
-            fitted = fit(working + [candidate])
+            fitted, j_prime = fit(working + [member])
         except NumericalError as exc:
             audit.append(AuditEntry(source, None, False, str(exc)))
             continue
-        j_prime = val_auroc(fitted)
         accepted = j_prime > best_j + config.delta_min
         audit.append(AuditEntry(source, j_prime, accepted))
         if accepted:
-            working.append(candidate)
+            working.append(member)
             best_j = j_prime
             best = fitted
 

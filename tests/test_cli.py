@@ -7,7 +7,7 @@ import pytest
 
 from explain_reference import explain_json
 from logicood import schema as schema_mod
-from logicood.cli import _fit_config, build_parser, main
+from logicood.cli import _attach_values, _fit_config, build_parser, main
 from logicood.constraints import MAX_DEPTH, load_constraints
 from logicood.distributions import fit_distribution, load_distribution
 from logicood.mln import FitConfig, MlnModel, load_weights
@@ -508,7 +508,7 @@ def test_fuse_decisions_without_threshold_writes_nothing(workdir, capsys):
     assert not decisions.exists() and not (workdir / "fused.csv").exists()
 
 
-@pytest.mark.parametrize("tau", ["nan", "inf"])
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
 def test_fuse_rejects_a_non_finite_threshold(workdir, capsys, tau):
     weights = _unit_weights(workdir)
     outputs = [workdir / "fused.csv", workdir / "d.csv"]
@@ -521,6 +521,36 @@ def test_fuse_rejects_a_non_finite_threshold(workdir, capsys, tau):
     assert code == 2
     assert "threshold must be finite" in capsys.readouterr().err
     assert not any(p.exists() for p in outputs)
+
+
+@pytest.mark.parametrize("form", [["--threshold", "-0.5"], ["--threshold=-0.5"]])
+def test_fuse_reads_a_negative_threshold(workdir, form):
+    # Every row scores -2 or -1 under unit weights, below -0.5.
+    weights = _unit_weights(workdir)
+    decisions = workdir / "d.csv"
+    code = run(
+        "fuse", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--weights", weights, "--train", workdir / "train.csv",
+        "--data", workdir / "train.csv", "--family", "none", "--out", workdir / "fused.csv",
+        *form, "--decisions", decisions,
+    )
+    assert code == 0
+    assert decisions.read_text().splitlines() == ["__id,outlier"] + [f"{i},0" for i in range(100)]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--init-weight", "-1e3"),
+        ("--tol", "-1e-3"),
+        ("--baseline", "-inf"),
+        ("--delta-min", "-0.5"),
+    ],
+)
+def test_a_dashed_number_is_the_flags_value(flag, value):
+    argv = ["search", "--schema", "s", "--train", "t", "--val", "v", "--out", "o", flag, value]
+    args = build_parser().parse_args(_attach_values(argv))
+    assert getattr(args, flag[2:].replace("-", "_")) == float(value)
 
 
 def test_compile_bad_schema_exit_code(workdir, capsys):

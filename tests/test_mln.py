@@ -343,6 +343,38 @@ def test_world_table_codes_match_ravel_multi_index(seed, empty_kb):
     assert np.array_equal(worlds[codes][:, mentioned], rows[:, mentioned])
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_restricted_table_is_the_sub_models_world_table(seed):
+    # A table over a model's concepts serves any model over a subset of its
+    # constraints: the same phi, sizes and log_free, and counts summed onto
+    # its worlds equal the rows coded into its own table.
+    r = np.random.default_rng(seed)
+    m = partial_kb_model(r)
+    table = mln.world_table(m)
+    k = int(r.integers(0, len(m.constraints) + 1))
+    members = sorted(r.choice(len(m.constraints), size=k, replace=False))
+    sub = MlnModel(m.schema, tuple(m.constraints[i] for i in members), np.zeros(len(members)))
+    expected = mln.world_table(sub)
+    got = table.restrict(sub, members)
+    assert got.concepts == expected.concepts and got.sizes == expected.sizes
+    assert np.array_equal(got.phi, expected.phi) and got.phi.dtype == expected.phi.dtype
+    assert got.log_free == expected.log_free
+    columns = random_vectors(r, m.schema, int(r.integers(0, 60))).T
+    counts = np.bincount(table.codes(columns), minlength=len(table.phi))
+    marginal = table.marginal(counts, got.concepts)
+    own = np.bincount(expected.codes(columns), minlength=len(expected.phi))
+    assert np.array_equal(marginal, own)
+    assert marginal.dtype == counts.dtype
+
+
+def test_restrict_rejects_a_concept_outside_the_table():
+    m = model(BIN2, ["p", "q"], [0.0, 0.0])
+    table = mln.world_table(MlnModel(BIN2, m.constraints[:1], np.zeros(1)))
+    with pytest.raises(ValidationError, match="outside the world table"):
+        table.restrict(MlnModel(BIN2, m.constraints[1:], np.zeros(1)), [0])
+
+
 def test_fit_result_worlds_are_the_enumerated_satisfaction_matrix(rng):
     cfg = FitConfig(max_epochs=3)
     for _ in range(20):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +8,18 @@ from hypothesis import strategies as st
 
 import candidates_reference
 from conftest import random_ast, random_schema, random_vectors
+from logicood import search
 from logicood.constraints import compile_constraint, compile_source, parse, pretty
-from logicood.errors import NumericalError, ValidationError
+from logicood.errors import NumericalError, SpaceCapError, ValidationError
 from logicood.metrics import auroc
-from logicood.mln import FitConfig, MlnModel, enumerate_space, fit_weights, mln_score_batch
+from logicood.mln import (
+    FitConfig,
+    MlnModel,
+    WorldTable,
+    enumerate_space,
+    fit_weights,
+    mln_score_batch,
+)
 from logicood.schema import Dataset, schema_from_dict
 from logicood.search import (
     AuditEntry,
@@ -306,9 +317,10 @@ def labeled_rows(rng, schema, n, ood_share):
     return Dataset(schema, vectors, tuple(map(str, range(n))), None, flags)
 
 
-def assert_same_search(train, val, pool, config):
+def assert_same_search(train, val, pool, config, expected=None):
     result = greedy_search(train, val, pool, config)
-    expected = naive_search(train, val, pool, config)
+    if expected is None:
+        expected = naive_search(train, val, pool, config)
     assert result.to_json_dict() == expected.to_json_dict()
     assert np.array_equal(result.model.weights, expected.model.weights)
     assert [c.constraint_id for c in result.model.constraints] == list(
@@ -335,6 +347,111 @@ def test_greedy_matches_naive_loop(seed):
     )
     train = labeled_rows(r, schema, int(r.integers(3, 120)), 0.3)
     val = labeled_rows(r, schema, int(r.integers(2, 150)), float(r.random()))
+    expected = naive_search(train, val, pool, config)
+    # The largest fit's worlds, or one fewer, as the cap: a pool whose
+    # worlds exceed it sends each fit to a table of its own, and a fit over
+    # it must raise.
+    needed = max(fit_spaces(schema, pool, config, expected.audit))
+    capped = with_space_cap(config, int(r.choice([config.fit.space_cap, needed, needed - 1])))
+    assert_same_capped_search(train, val, pool, capped, expected, needed)
+
+
+def test_greedy_matches_naive_loop_over_the_cap(rng):
+    # Depth-2 candidates over up to 6 concepts, few of them accepted: fits
+    # name fewer concepts than the pool, so a cap at the largest fit sends
+    # most pools to per-fit tables.
+    over = 0
+    for _ in range(16):
+        schema = random_schema(rng, max_concepts=6, max_domain=3)
+        pool = CandidatePool(
+            GeneratorConfig(),
+            tuple(random_ast(rng, schema, max_depth=2) for _ in range(int(rng.integers(1, 12)))),
+        )
+        seeds = tuple(random_ast(rng, schema, max_depth=2) for _ in range(int(rng.integers(0, 2))))
+        config = SearchConfig(delta_min=0.05, seed_constraints=seeds, fit=FitConfig(max_epochs=4))
+        train = labeled_rows(rng, schema, int(rng.integers(3, 120)), 0.3)
+        val = labeled_rows(rng, schema, int(rng.integers(2, 150)), 0.5)
+        expected = naive_search(train, val, pool, config)
+        needed = max(fit_spaces(schema, pool, config, expected.audit))
+        over += needed < space_of(schema, seeds + pool.candidates)
+        capped = with_space_cap(config, needed)
+        assert_same_capped_search(train, val, pool, capped, expected, needed)
+    assert over >= 4  # a quarter of the examples
+
+
+def space_of(schema, asts):
+    """Worlds of the concepts the constraints mention."""
+    compiled = tuple(compile_constraint(ast, schema) for ast in asts)
+    concepts = MlnModel(schema, compiled, np.zeros(len(compiled))).mentioned_concepts
+    return math.prod(schema.domain_sizes[ci] for ci in concepts)
+
+
+def fit_spaces(schema, pool, config, audit):
+    """Worlds of each fit a search makes, replayed from its audit."""
+    working = list(config.seed_constraints)
+    spaces = [space_of(schema, working)]
+    for ast, entry in zip(pool.candidates, audit):
+        spaces.append(space_of(schema, working + [ast]))
+        if entry.accepted:
+            working.append(ast)
+    return spaces
+
+
+def with_space_cap(config, space_cap):
+    return dataclasses.replace(config, fit=dataclasses.replace(config.fit, space_cap=space_cap))
+
+
+def assert_same_capped_search(train, val, pool, config, expected, needed):
+    """The search under config's cap gives the uncapped result when its
+    largest fit fits, and the naive loop's SpaceCapError when it does not."""
+    if config.fit.space_cap >= needed:
+        assert_same_search(train, val, pool, config, expected)
+        return
+    with pytest.raises(SpaceCapError) as naive:
+        naive_search(train, val, pool, config)
+    with pytest.raises(SpaceCapError) as greedy:
+        greedy_search(train, val, pool, config)
+    assert str(greedy.value) == str(naive.value)
+
+
+def test_fit_over_the_cap_raises_space_cap_error():
+    # Cap 4 under a pool of 16 worlds: the seed's 2-concept fit and the
+    # literal fits over c0 and c1 fit, then the seed with c2=true needs 8.
+    train = planted_benchmark(seed=7, n=200)
+    val = planted_benchmark(seed=8, n=200)
+    pool = generate_candidates(BIN4, GeneratorConfig(connectives=("xor",)))
+    config = SearchConfig(seed_constraints=(parse("c0 xor c1"),), fit=FitConfig(space_cap=4))
+    message = "semantic space of 3 concepts: 8 exceeds cap 4"
+    for run_search in (greedy_search, naive_search):
+        with pytest.raises(SpaceCapError, match=message):
+            run_search(train, val, pool, config)
+
+
+@pytest.mark.parametrize(
+    "n, space_cap, pooled",
+    [
+        (300, FitConfig().space_cap, True),
+        (300, 2, False),  # 16 pool worlds over the cap
+        (5, FitConfig().space_cap, False),  # 16 pool worlds, 5 + 10 rows
+    ],
+)
+def test_greedy_tables_per_search_or_per_fit(monkeypatch, n, space_cap, pooled):
+    """With no more pool worlds than the cap and the rows, the search
+    enumerates one world table and codes the training and validation rows
+    into it once each; otherwise every fit builds and codes its own."""
+    train = planted_benchmark(seed=7, n=n)
+    val = planted_benchmark(seed=8, n=n)
+    pool = generate_candidates(BIN4, GeneratorConfig(max_depth=1))
+    # No literal lifts AUROC by 0.2, so every fit names one concept: 2 worlds.
+    config = SearchConfig(delta_min=0.2, fit=FitConfig(space_cap=space_cap))
+    built, coded = [], []
+    world_table, codes = search.world_table, WorldTable.codes
+    monkeypatch.setattr(search, "world_table", lambda *a: built.append(a) or world_table(*a))
+    monkeypatch.setattr(WorldTable, "codes", lambda t, c: coded.append(t) or codes(t, c))
+    result = greedy_search(train, val, pool, config)
+    tables = 1 if pooled else 1 + len(pool)  # or the empty fit and each candidate's
+    assert len(built) == tables and len(coded) == 2 * tables
+    assert not result.model.constraints
     assert_same_search(train, val, pool, config)
 
 

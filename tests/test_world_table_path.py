@@ -1,7 +1,8 @@
 """One world table: an AST scan of the package fails if rows are coded to
 worlds anywhere but mln.WorldTable.codes, if greedy_search evaluates a
-constraint itself instead of reading the fit's world table, or if
-candidate generation compiles, evaluates or enumerates anything."""
+constraint itself instead of reading a world table, if its candidate loop
+builds a world table or codes rows, or if candidate generation compiles,
+evaluates or enumerates anything."""
 
 import ast
 from pathlib import Path
@@ -87,6 +88,33 @@ def _evaluations(function):
     return _calls(function, EVALUATIONS)
 
 
+def _loop_calls(function, names):
+    """(called name, line) of every call to one of names inside a loop of
+    the function, following the loop's calls into functions nested in it."""
+    nested = {
+        node.name: node
+        for node in ast.walk(function)
+        if isinstance(node, ast.FunctionDef) and node is not function
+    }
+    found, followed = set(), set()
+
+    def scan(node):
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.add((name, call.lineno))
+                if name in nested and name not in followed:
+                    followed.add(name)
+                    scan(nested[name])
+
+    for loop in ast.walk(function):
+        if isinstance(loop, ast.For | ast.While):
+            scan(loop)
+    return sorted(found, key=lambda hit: hit[1])
+
+
 def _function(tree, name):
     (function,) = [
         node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name
@@ -111,6 +139,41 @@ def test_greedy_search_evaluates_no_constraint():
     # The scan sees the world table's own evaluation, so it is not blind.
     mln_tree = ast.parse((PACKAGE / "mln.py").read_text(encoding="utf-8"))
     assert _evaluations(_function(mln_tree, "world_table"))
+
+
+def test_greedy_candidate_loop_builds_and_codes_no_table():
+    """The pool table is built and its rows coded once, before the loop;
+    each fit slices it."""
+    tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    greedy = _function(tree, "greedy_search")
+    assert _loop_calls(greedy, {"codes", "world_table"}) == []
+    # The scan follows the loop into the nested fit, which calls the
+    # shared L-BFGS site, so it is not blind.
+    assert [name for name, _ in _loop_calls(greedy, {"fit_stats"})] == ["fit_stats"]
+
+
+def test_loop_scan_flags_each_form():
+    source = (
+        "def greedy_search(pool):\n"
+        "    table = world_table(model)\n"
+        "    def fit(members):\n"
+        "        return refit(members)\n"
+        "    def refit(members):\n"
+        "        return world_table(members)\n"
+        "    def unused():\n"
+        "        return table.codes(rows)\n"
+        "    for candidate in pool:\n"
+        "        table.codes(candidate)\n"
+        "        fit(candidate)\n"
+        "    while pool:\n"
+        "        pool = [world_table(m) for m in pool]\n"
+    )
+    greedy = _function(ast.parse(source), "greedy_search")
+    assert _loop_calls(greedy, {"codes", "world_table"}) == [
+        ("world_table", 6),
+        ("codes", 10),
+        ("world_table", 13),
+    ]
 
 
 def test_candidate_generation_compiles_and_enumerates_nothing():
