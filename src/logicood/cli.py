@@ -344,19 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags whose value may start with '-' without being a plain negative
-# number, such as "->,xor", "-inf" or "-1e3": argparse reads such a
-# separate value as a flag.
-_DASHED_VALUES = (
-    "--connectives", "--threshold", "--delta-min", "--baseline", "--tol", "--init-weight",
-)
-
-
-def _attach_values(argv):
-    """Rewrite `FLAG VALUE` as `FLAG=VALUE` for each flag in _DASHED_VALUES."""
+def _attach_values(parser: argparse.ArgumentParser, argv):
+    """Rewrite `FLAG VALUE` as `FLAG=VALUE` for every flag of the parser
+    and its commands that takes one value: argparse reads a separate value
+    that starts with '-', such as "->,xor", "-inf" or "-1e3", as a flag."""
+    flags, parsers = set(), [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.nargs is None:
+                flags.update(action.option_strings)
     joined, rest = [], iter(argv)
     for arg in rest:
-        value = next(rest, None) if arg in _DASHED_VALUES else None
+        value = next(rest, None) if arg in flags else None
         joined.append(arg if value is None else f"{arg}={value}")
     return joined
 
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_attach_values(argv))
+        args = parser.parse_args(_attach_values(parser, argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -140,6 +140,17 @@ def explain(model: MlnModel, z) -> ScoreExplanation:
     return explain_batch(model, [z])[0]
 
 
+def _capped_size(sizes, space_cap: int) -> int:
+    """The number of worlds of concepts with the given domain sizes, which
+    must not exceed the cap."""
+    size = math.prod(sizes)
+    if size > space_cap:
+        raise SpaceCapError(
+            f"semantic space of {len(sizes)} concepts: {size} exceeds cap {space_cap}"
+        )
+    return size
+
+
 def enumerate_space(
     schema: Schema, space_cap: int = DEFAULT_SPACE_CAP, concepts=None
 ) -> np.ndarray:
@@ -148,11 +159,7 @@ def enumerate_space(
     other column at index 0. The cap applies to the number of rows."""
     concepts = range(len(schema)) if concepts is None else concepts
     sizes = [schema.domain_sizes[ci] for ci in concepts]
-    size = math.prod(sizes)
-    if size > space_cap:
-        raise SpaceCapError(
-            f"semantic space of {len(sizes)} concepts: {size} exceeds cap {space_cap}"
-        )
+    size = _capped_size(sizes, space_cap)
     worlds = np.zeros((size, len(schema)), dtype=np.int64)
     grids = np.meshgrid(*(np.arange(s) for s in sizes), indexing="ij")
     for ci, grid in zip(concepts, grids):
@@ -173,8 +180,7 @@ def satisfaction_matrix(model: MlnModel, rows) -> np.ndarray:
 class WorldTable:
     """The worlds of the concepts a knowledge base mentions, enumerated once:
     log Z, a fit's data counts and the search's validation AUROC all read
-    this one table. A table over more concepts serves every model whose
-    concepts and constraints it covers (see restrict)."""
+    this one table."""
 
     concepts: tuple[int, ...]  # mentioned schema indices, ascending
     sizes: tuple[int, ...]  # their domain sizes
@@ -188,35 +194,6 @@ class WorldTable:
             return np.zeros(columns.shape[1], dtype=np.intp)
         return np.ravel_multi_index(tuple(columns[ci] for ci in self.concepts), self.sizes)
 
-    def restrict(self, model: MlnModel, columns) -> WorldTable:
-        """world_table(model), read from this table: the model mentions a
-        subset of its concepts and its constraints are the given columns.
-        The worlds whose other concepts are 0 are the model's worlds, in
-        enumerate_space's order, so phi is the same array."""
-        concepts = model.mentioned_concepts
-        if not set(concepts).issubset(self.concepts):
-            raise ValidationError("the model mentions a concept outside the world table")
-        columns = list(columns)
-        if concepts == self.concepts and columns == list(range(self.phi.shape[1])):
-            return self
-        kept = [ci in concepts for ci in self.concepts]
-        worlds = np.arange(len(self.phi)).reshape(self.sizes)[
-            tuple(slice(None) if keep else 0 for keep in kept)
-        ]
-        return WorldTable(
-            concepts,
-            tuple(size for size, keep in zip(self.sizes, kept) if keep),
-            self.phi[np.ix_(worlds.ravel(), columns)],
-            _log_free(model.schema, concepts),
-        )
-
-    def marginal(self, counts: np.ndarray, concepts) -> np.ndarray:
-        """Counts per world of this table summed onto the worlds of a subset
-        of its concepts, in enumerate_space's order; integer counts stay
-        exact."""
-        other = tuple(axis for axis, ci in enumerate(self.concepts) if ci not in concepts)
-        return counts.reshape(self.sizes).sum(axis=other).ravel()
-
 
 def _log_free(schema: Schema, concepts) -> float:
     """log of the number of assignments to the concepts outside the given ones."""
@@ -229,6 +206,73 @@ def world_table(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> WorldTab
     sizes = tuple(model.schema.domain_sizes[ci] for ci in concepts)
     phi = satisfaction_matrix(model, enumerate_space(model.schema, space_cap, concepts))
     return WorldTable(concepts, sizes, phi, _log_free(model.schema, concepts))
+
+
+def joined_table(
+    schema: Schema, concepts, columns, space_cap: int = DEFAULT_SPACE_CAP
+) -> WorldTable:
+    """The table over the given concepts (ascending schema indices), under
+    the cap, whose columns are the given (table, column) pairs, each
+    broadcast from its table's concepts, which the given ones cover. With
+    the concepts a model mentions and each constraint's column in a table
+    of the constraints over its own concepts, this is world_table(model),
+    the same phi, and it evaluates nothing."""
+    concepts = tuple(concepts)
+    domain_sizes = schema.domain_sizes
+    sizes = tuple(domain_sizes[ci] for ci in concepts)
+    phi = np.empty((_capped_size(sizes, space_cap), len(columns)))
+    grid = phi.reshape(*sizes, len(columns))
+    for i, (part, column) in enumerate(columns):
+        if not set(part.concepts).issubset(concepts):
+            raise ValidationError("a column's table has a concept outside the joined table")
+        grid[..., i] = part.phi[:, column].reshape(
+            [size if ci in part.concepts else 1 for ci, size in zip(concepts, sizes)]
+        )
+    return WorldTable(concepts, sizes, phi, _log_free(schema, concepts))
+
+
+@dataclass(frozen=True)
+class WorldCounts:
+    """Sets of rows counted per distinct world of some concepts: a row's
+    values on them, every other column 0. The counts go onto the worlds of
+    any table over a subset of those concepts in one pass over the
+    distinct worlds, of which there are at most as many as rows."""
+
+    worlds: np.ndarray  # (n_concepts, k) index columns of the distinct worlds
+    counts: np.ndarray  # (sets, k) rows of each set in each world
+
+    @classmethod
+    def of(cls, concepts, row_sets) -> WorldCounts:
+        """Count checked (n, n_concepts) index matrices per world of the
+        concepts."""
+        concepts = list(concepts)
+        # The rows' values on the concepts, in the narrowest integer type.
+        dtype = np.min_scalar_type(max(int(rows.max(initial=0)) for rows in row_sets))
+        values = np.concatenate([rows.astype(dtype)[:, concepts] for rows in row_sets])
+        n = len(values)
+        # Sorted, equal rows are adjacent: each world starts where a row
+        # differs from the one before it.
+        order = np.lexsort(values.T[::-1]) if concepts else np.arange(n)
+        values = values[order]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = np.any(values[1:] != values[:-1], axis=1)
+        world = np.empty(n, dtype=np.intp)
+        world[order] = np.cumsum(starts) - 1
+        k = int(starts.sum())
+        worlds = np.zeros((row_sets[0].shape[1], k), dtype=np.int64)
+        worlds[concepts] = values[starts].T
+        sets = np.repeat(np.arange(len(row_sets)), [len(r) for r in row_sets])
+        counts = np.bincount(sets * k + world, minlength=len(row_sets) * k)
+        return cls(worlds, counts.reshape(len(row_sets), k))
+
+    def onto(self, table: WorldTable) -> np.ndarray:
+        """(sets, worlds) counts per world of the table, in enumerate_space's
+        order; the table's concepts must be among the counted ones. The sums
+        are of integers, so they are exact."""
+        n, sets = len(table.phi), len(self.counts)
+        codes = table.codes(self.worlds) + n * np.arange(sets)[:, None]
+        counts = np.bincount(codes.ravel(), self.counts.ravel(), minlength=sets * n)
+        return counts.astype(np.int64).reshape(sets, n)
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:

@@ -25,8 +25,10 @@ from .mln import (
     FitConfig,
     MlnModel,
     SufficientStats,
+    WorldCounts,
     WorldTable,
     fit_stats,
+    joined_table,
     scores_from_columns,
     world_table,
 )
@@ -185,24 +187,23 @@ class SearchResult:
         }
 
 
-class _Tally(NamedTuple):
-    """A world table with the training-ID rows and the validation ID and
-    OOD rows counted per world."""
-
-    table: WorldTable
-    train: np.ndarray
-    val_id: np.ndarray
-    val_ood: np.ndarray
-
-
-def _tally(model: MlnModel, train_id: Dataset, val: Dataset, space_cap: int) -> _Tally:
-    """Enumerate the worlds of the model's concepts under the cap and code
-    every row into them once."""
-    table = world_table(model, space_cap)
-    n = len(table.phi)
-    val_counts = np.bincount(2 * table.codes(val.vectors.T) + val.is_ood, minlength=2 * n)
-    train = np.bincount(table.codes(train_id.vectors.T), minlength=n)
-    return _Tally(table, train, val_counts[0::2], val_counts[1::2])
+def _tables_alone(schema: Schema, constraints, space_cap: int):
+    """Each constraint's (world table, column), evaluated once over the
+    worlds of its own concepts: one table per set of concepts. A set over
+    the cap gets None instead, which no fit reads: every fit with its
+    constraints is over the cap too, and raises first."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for i, c in enumerate(constraints):
+        groups.setdefault(c.concept_indices, []).append(i)
+    alone: list[tuple[WorldTable, int] | None] = [None] * len(constraints)
+    sizes = schema.domain_sizes
+    for concepts, members in groups.items():
+        if math.prod(sizes[ci] for ci in concepts) <= space_cap:
+            group = tuple(constraints[i] for i in members)
+            table = world_table(MlnModel(schema, group, np.zeros(len(group))), space_cap)
+            for column, i in enumerate(members):
+                alone[i] = (table, column)
+    return alone
 
 
 def greedy_search(
@@ -211,15 +212,13 @@ def greedy_search(
     """One pass over the pool, accepting candidates that lift validation
     AUROC by more than delta_min; exactly len(pool) fit/evaluate rounds.
 
-    Every fit reads one pool table: the worlds of every concept a seed or
-    candidate mentions, with each constraint's column and the training and
-    validation rows counted per world, built once. A fit takes the worlds
-    whose other pool concepts are 0 and the columns of its members, and
-    sums the counts onto them, so its statistics and its validation AUROC
-    are those of its own world table, bit for bit, and no constraint is
-    evaluated on a row. When the pool has more worlds than the space cap
-    or than there are training and validation rows, each fit builds and
-    counts its own table instead."""
+    The training and validation rows are counted once per distinct world
+    of the concepts any seed or candidate mentions, and each constraint is
+    evaluated once, over the worlds of its own concepts. A fit joins its
+    members' columns onto its worlds and sums the counts onto them, so its
+    statistics and its validation AUROC are those of its own world table,
+    bit for bit, with no world enumerated, constraint evaluated or row
+    coded."""
     if len(pool) == 0:
         raise ValidationError("candidate pool is empty")
     if val.schema != train.schema:
@@ -240,45 +239,34 @@ def greedy_search(
         constraints = tuple(constraints)
         return MlnModel(schema, constraints, np.zeros(len(constraints)))
 
-    # A fit sums the pool counts over every pool world, and the pool table
-    # holds a column per candidate over every pool world. With more pool
-    # worlds than rows, coding the rows into each fit's own table costs
-    # less time and memory.
-    pool_model = unfitted(seeds + candidates)
-    pool_worlds = math.prod(schema.domain_sizes[ci] for ci in pool_model.mentioned_concepts)
-    if pool_worlds <= min(space_cap, len(train_id) + len(val)):
-        pooled = _tally(pool_model, train_id, val, space_cap)
-    else:
-        pooled = None
+    constraints = seeds + candidates
+    alone = _tables_alone(schema, constraints, space_cap)
+    rows = WorldCounts.of(
+        unfitted(constraints).mentioned_concepts,
+        [train_id.vectors, val.vectors[~val.is_ood], val.vectors[val.is_ood]],
+    )
 
     def fit(members):
-        """Fit the (pool column, constraint) members; the result and its
+        """Fit the (pool index, constraint) members; the result and its
         validation AUROC."""
         model = unfitted(c for _, c in members)
-        if pooled is None:
-            tally, columns = _tally(model, train_id, val, space_cap), range(len(members))
-        else:
-            tally, columns = pooled, [column for column, _ in members]
-        table = tally.table.restrict(model, columns)
-
-        def counts(per_world):
-            return tally.table.marginal(per_world, table.concepts)
-
-        stats = SufficientStats.from_counts(table, counts(tally.train))
-        fitted = fit_stats(model, stats, config.fit)
+        columns = [alone[i] for i, _ in members]
+        table = joined_table(schema, model.mentioned_concepts, columns, space_cap)
+        train_counts, val_id, val_ood = rows.onto(table)
+        fitted = fit_stats(model, SufficientStats.from_counts(table, train_counts), config.fit)
         # A constraint reads only the concepts it mentions, so a row scores
         # as its world: bit-equal to auroc over mln_score_batch of every row.
         scores = scores_from_columns(fitted.model.weights, table.phi.T, len(table.phi))
-        return fitted, auroc_from_counts(scores, counts(tally.val_id), counts(tally.val_ood))
+        return fitted, auroc_from_counts(scores, val_id, val_ood)
 
     working = list(enumerate(seeds))
     best, j = fit(working)
     best_j = max(config.baseline_j0, j) if working else config.baseline_j0
 
     audit: list[AuditEntry] = []
-    for column, (ast, candidate) in enumerate(zip(pool.candidates, candidates), len(seeds)):
+    for index, (ast, candidate) in enumerate(zip(pool.candidates, candidates), len(seeds)):
         source = pretty(ast)
-        member = (column, replace(candidate, constraint_id=len(working)))
+        member = (index, replace(candidate, constraint_id=len(working)))
         try:
             fitted, j_prime = fit(working + [member])
         except NumericalError as exc:

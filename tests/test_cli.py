@@ -549,8 +549,16 @@ def test_fuse_reads_a_negative_threshold(workdir, form):
 )
 def test_a_dashed_number_is_the_flags_value(flag, value):
     argv = ["search", "--schema", "s", "--train", "t", "--val", "v", "--out", "o", flag, value]
-    args = build_parser().parse_args(_attach_values(argv))
+    parser = build_parser()
+    args = parser.parse_args(_attach_values(parser, argv))
     assert getattr(args, flag[2:].replace("-", "_")) == float(value)
+
+
+def test_only_flags_that_take_a_value_are_attached():
+    argv = ["search", "--no-negation", "--schema", "s", "--connectives", "->", "--baseline=-1"]
+    assert _attach_values(build_parser(), argv) == [
+        "search", "--no-negation", "--schema=s", "--connectives=->", "--baseline=-1",
+    ]
 
 
 def test_compile_bad_schema_exit_code(workdir, capsys):

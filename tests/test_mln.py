@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 
 from conftest import interpret, random_ast, random_schema, random_vectors
 from logicood import mln
-from logicood.constraints import compile_constraint, compile_source
+from logicood.constraints import Not, compile_constraint, compile_source
 from logicood.errors import SpaceCapError, ValidationError
 from logicood.mln import (
     FitConfig,
@@ -345,34 +345,52 @@ def test_world_table_codes_match_ravel_multi_index(seed, empty_kb):
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
-def test_restricted_table_is_the_sub_models_world_table(seed):
-    # A table over a model's concepts serves any model over a subset of its
-    # constraints: the same phi, sizes and log_free, and counts summed onto
-    # its worlds equal the rows coded into its own table.
+def test_joined_table_is_the_models_world_table(seed):
+    # Each constraint's column in a table over its own concepts, beside its
+    # negation, broadcast onto the model's worlds: world_table(model).
     r = np.random.default_rng(seed)
     m = partial_kb_model(r)
-    table = mln.world_table(m)
-    k = int(r.integers(0, len(m.constraints) + 1))
-    members = sorted(r.choice(len(m.constraints), size=k, replace=False))
-    sub = MlnModel(m.schema, tuple(m.constraints[i] for i in members), np.zeros(len(members)))
-    expected = mln.world_table(sub)
-    got = table.restrict(sub, members)
+    columns = []
+    for c in m.constraints:
+        negated = compile_constraint(Not(c.ast), m.schema)
+        column = int(r.integers(0, 2))
+        pair = (c, negated) if column == 0 else (negated, c)
+        columns.append((mln.world_table(MlnModel(m.schema, pair, np.zeros(2))), column))
+    expected = mln.world_table(m)
+    got = mln.joined_table(m.schema, m.mentioned_concepts, columns)
     assert got.concepts == expected.concepts and got.sizes == expected.sizes
     assert np.array_equal(got.phi, expected.phi) and got.phi.dtype == expected.phi.dtype
     assert got.log_free == expected.log_free
-    columns = random_vectors(r, m.schema, int(r.integers(0, 60))).T
-    counts = np.bincount(table.codes(columns), minlength=len(table.phi))
-    marginal = table.marginal(counts, got.concepts)
-    own = np.bincount(expected.codes(columns), minlength=len(expected.phi))
-    assert np.array_equal(marginal, own)
-    assert marginal.dtype == counts.dtype
 
 
-def test_restrict_rejects_a_concept_outside_the_table():
-    m = model(BIN2, ["p", "q"], [0.0, 0.0])
-    table = mln.world_table(MlnModel(BIN2, m.constraints[:1], np.zeros(1)))
-    with pytest.raises(ValidationError, match="outside the world table"):
-        table.restrict(MlnModel(BIN2, m.constraints[1:], np.zeros(1)), [0])
+def test_joined_table_checks_its_concepts_and_the_cap():
+    m = model(BIN2, ["p", "q", "p and q"], [0.0, 0.0, 0.0])
+    alone = mln.world_table(MlnModel(BIN2, m.constraints[1:2], np.zeros(1)))
+    with pytest.raises(ValidationError, match="outside the joined table"):
+        mln.joined_table(BIN2, (0,), [(alone, 0)])
+    with pytest.raises(SpaceCapError) as joined:
+        mln.joined_table(BIN2, (0, 1), [(alone, 0)], space_cap=3)
+    with pytest.raises(SpaceCapError) as enumerated:
+        mln.world_table(m, space_cap=3)
+    assert str(joined.value) == str(enumerated.value)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_world_counts_onto_a_table_are_its_coded_rows(seed):
+    # Rows counted per distinct world of some concepts, then summed onto a
+    # table over a subset of them: the rows coded into the table.
+    r = np.random.default_rng(seed)
+    m = partial_kb_model(r)
+    k = int(r.integers(0, len(m.constraints) + 1))
+    members = sorted(r.choice(len(m.constraints), size=k, replace=False))
+    table = mln.world_table(MlnModel(m.schema, tuple(m.constraints[i] for i in members), np.zeros(k)))
+    row_sets = [random_vectors(r, m.schema, int(r.integers(0, 60))) for _ in range(3)]
+    counts = mln.WorldCounts.of(m.mentioned_concepts, row_sets)
+    assert counts.worlds.shape[1] <= sum(len(rows) for rows in row_sets)
+    got = counts.onto(table)
+    expected = [np.bincount(table.codes(rows.T), minlength=len(table.phi)) for rows in row_sets]
+    assert np.array_equal(got, expected) and got.dtype == np.int64
 
 
 def test_fit_result_worlds_are_the_enumerated_satisfaction_matrix(rng):

@@ -347,19 +347,18 @@ def test_greedy_matches_naive_loop(seed):
     )
     train = labeled_rows(r, schema, int(r.integers(3, 120)), 0.3)
     val = labeled_rows(r, schema, int(r.integers(2, 150)), float(r.random()))
-    expected = naive_search(train, val, pool, config)
-    # The largest fit's worlds, or one fewer, as the cap: a pool whose
-    # worlds exceed it sends each fit to a table of its own, and a fit over
-    # it must raise.
+    expected = assert_same_search(train, val, pool, config)
+    # Again under the largest fit's worlds, or one fewer, as the cap: the
+    # same result, or the naive loop's SpaceCapError.
     needed = max(fit_spaces(schema, pool, config, expected.audit))
-    capped = with_space_cap(config, int(r.choice([config.fit.space_cap, needed, needed - 1])))
+    capped = with_space_cap(config, int(r.choice([needed, needed - 1])))
     assert_same_capped_search(train, val, pool, capped, expected, needed)
 
 
 def test_greedy_matches_naive_loop_over_the_cap(rng):
     # Depth-2 candidates over up to 6 concepts, few of them accepted: fits
-    # name fewer concepts than the pool, so a cap at the largest fit sends
-    # most pools to per-fit tables.
+    # name fewer concepts than the pool, so under a cap at the largest fit
+    # most pools have more worlds than the cap.
     over = 0
     for _ in range(16):
         schema = random_schema(rng, max_concepts=6, max_domain=3)
@@ -427,32 +426,25 @@ def test_fit_over_the_cap_raises_space_cap_error():
             run_search(train, val, pool, config)
 
 
-@pytest.mark.parametrize(
-    "n, space_cap, pooled",
-    [
-        (300, FitConfig().space_cap, True),
-        (300, 2, False),  # 16 pool worlds over the cap
-        (5, FitConfig().space_cap, False),  # 16 pool worlds, 5 + 10 rows
-    ],
-)
-def test_greedy_tables_per_search_or_per_fit(monkeypatch, n, space_cap, pooled):
-    """With no more pool worlds than the cap and the rows, the search
-    enumerates one world table and codes the training and validation rows
-    into it once each; otherwise every fit builds and codes its own."""
-    train = planted_benchmark(seed=7, n=n)
-    val = planted_benchmark(seed=8, n=n)
+def test_greedy_evaluates_once_and_codes_only_distinct_worlds(monkeypatch):
+    """The search builds one world table per set of concepts a constraint
+    mentions, before any fit, and codes only the distinct worlds of the
+    rows, at most 16 here, to each fit's worlds: never the 300 + 300 rows."""
+    train = planted_benchmark(seed=7, n=300)
+    val = planted_benchmark(seed=8, n=300)
     pool = generate_candidates(BIN4, GeneratorConfig(max_depth=1))
-    # No literal lifts AUROC by 0.2, so every fit names one concept: 2 worlds.
-    config = SearchConfig(delta_min=0.2, fit=FitConfig(space_cap=space_cap))
     built, coded = [], []
     world_table, codes = search.world_table, WorldTable.codes
     monkeypatch.setattr(search, "world_table", lambda *a: built.append(a) or world_table(*a))
-    monkeypatch.setattr(WorldTable, "codes", lambda t, c: coded.append(t) or codes(t, c))
-    result = greedy_search(train, val, pool, config)
-    tables = 1 if pooled else 1 + len(pool)  # or the empty fit and each candidate's
-    assert len(built) == tables and len(coded) == 2 * tables
-    assert not result.model.constraints
-    assert_same_search(train, val, pool, config)
+    monkeypatch.setattr(WorldTable, "codes", lambda t, c: coded.append(c.shape[1]) or codes(t, c))
+    result = greedy_search(train, val, pool, SearchConfig())
+    monkeypatch.undo()
+    assert result.to_json_dict() == naive_search(train, val, pool, SearchConfig()).to_json_dict()
+    assert len(built) == len(BIN4)  # c_i=true and not c_i=true share a table
+    assert len(coded) == 1 + len(pool)  # the seed fit and each candidate's
+    rows = np.concatenate([train.vectors[~train.is_ood], val.vectors])
+    assert set(coded) == {len(np.unique(rows, axis=0))}
+    assert coded[0] <= 16 and result.model.constraints
 
 
 def test_greedy_matches_naive_loop_with_wide_working_set(rng):

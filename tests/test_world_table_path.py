@@ -1,8 +1,8 @@
 """One world table: an AST scan of the package fails if rows are coded to
 worlds anywhere but mln.WorldTable.codes, if greedy_search evaluates a
 constraint itself instead of reading a world table, if its candidate loop
-builds a world table or codes rows, or if candidate generation compiles,
-evaluates or enumerates anything."""
+builds a world table or codes anything, or if candidate generation
+compiles, evaluates or enumerates anything."""
 
 import ast
 from pathlib import Path
@@ -88,12 +88,13 @@ def _evaluations(function):
     return _calls(function, EVALUATIONS)
 
 
-def _loop_calls(function, names):
+def _loop_calls(tree, function, names):
     """(called name, line) of every call to one of names inside a loop of
-    the function, following the loop's calls into functions nested in it."""
-    nested = {
+    the function, following the loop's calls into the functions nested in
+    it and the module's own functions."""
+    reachable = {
         node.name: node
-        for node in ast.walk(function)
+        for node in [*ast.walk(function), *tree.body]
         if isinstance(node, ast.FunctionDef) and node is not function
     }
     found, followed = set(), set()
@@ -105,9 +106,9 @@ def _loop_calls(function, names):
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in names:
                     found.add((name, call.lineno))
-                if name in nested and name not in followed:
+                if name in reachable and name not in followed:
                     followed.add(name)
-                    scan(nested[name])
+                    scan(reachable[name])
 
     for loop in ast.walk(function):
         if isinstance(loop, ast.For | ast.While):
@@ -142,14 +143,17 @@ def test_greedy_search_evaluates_no_constraint():
 
 
 def test_greedy_candidate_loop_builds_and_codes_no_table():
-    """The pool table is built and its rows coded once, before the loop;
-    each fit slices it."""
+    """Every world table is built and the rows grouped once, before the
+    loop; each fit joins columns of those tables and sums the counts onto
+    its worlds through mln.WorldCounts.onto, which codes the distinct
+    worlds only (see test_search)."""
     tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
     greedy = _function(tree, "greedy_search")
-    assert _loop_calls(greedy, {"codes", "world_table"}) == []
+    building = {"codes", "world_table", "enumerate_space", "satisfaction_matrix"}
+    assert _loop_calls(tree, greedy, building) == []
     # The scan follows the loop into the nested fit, which calls the
     # shared L-BFGS site, so it is not blind.
-    assert [name for name, _ in _loop_calls(greedy, {"fit_stats"})] == ["fit_stats"]
+    assert [name for name, _ in _loop_calls(tree, greedy, {"fit_stats"})] == ["fit_stats"]
 
 
 def test_loop_scan_flags_each_form():
@@ -165,14 +169,21 @@ def test_loop_scan_flags_each_form():
         "    for candidate in pool:\n"
         "        table.codes(candidate)\n"
         "        fit(candidate)\n"
+        "        _tally(candidate)\n"
         "    while pool:\n"
         "        pool = [world_table(m) for m in pool]\n"
+        "def _tally(model):\n"
+        "    return enumerate_space(model)\n"
+        "def _unused(model):\n"
+        "    return enumerate_space(model)\n"
     )
-    greedy = _function(ast.parse(source), "greedy_search")
-    assert _loop_calls(greedy, {"codes", "world_table"}) == [
+    tree = ast.parse(source)
+    greedy = _function(tree, "greedy_search")
+    assert _loop_calls(tree, greedy, {"codes", "world_table", "enumerate_space"}) == [
         ("world_table", 6),
         ("codes", 10),
-        ("world_table", 13),
+        ("world_table", 14),
+        ("enumerate_space", 16),
     ]
 
 
