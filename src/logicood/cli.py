@@ -135,7 +135,8 @@ def cmd_fit(args) -> int:
     result = mln.fit_weights(model, train, cfg)
     _log(
         f"initial NLL {result.nll_history[0]:.6f}, "
-        f"final NLL {result.nll_history[-1]:.6f}, epochs used {result.epochs_used}"
+        f"final NLL {result.nll_history[-1]:.6f}, epochs used {result.epochs_used}, "
+        f"converged {'yes' if result.converged else 'no'}"
     )
     mln.save_weights(result.model, args.out)
     return EXIT_OK

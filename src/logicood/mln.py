@@ -71,8 +71,10 @@ class FitConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValidationError("max_epochs must be >= 1")
-        if self.convergence_tol < 0:
-            raise ValidationError("convergence_tol must be >= 0")
+        if not self.convergence_tol >= 0:  # NaN too
+            raise ValidationError(f"convergence_tol must be >= 0, got {self.convergence_tol}")
+        if not math.isfinite(self.init_weight):
+            raise ValidationError(f"init_weight must be finite, got {self.init_weight}")
         if self.space_cap < 1:
             raise ValidationError("space_cap must be >= 1")
 
@@ -354,6 +356,7 @@ class FitResult:
     nll_history: tuple[float, ...]  # NLL at init and after each accepted step
     epochs_used: int
     worlds: WorldTable  # the model's world table, which the fit read
+    converged: bool  # L-BFGS-B stopped on its own convergence test
 
 
 def fit_weights(
@@ -370,43 +373,64 @@ def fit_weights(
 
 def fit_stats(model: MlnModel, stats: SufficientStats, cfg: FitConfig) -> FitResult:
     """fit_weights from the model's sufficient statistics: the one L-BFGS
-    call site, which greedy search also uses. cfg.space_cap is not read;
-    the statistics' world table has already been enumerated."""
-    from scipy import optimize
+    driver, which greedy search also uses. cfg.space_cap is not read; the
+    statistics' world table has already been enumerated.
+
+    It drives L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SISC 1995) through the
+    compiled routine that scipy.optimize.minimize(method="L-BFGS-B") runs,
+    with the arguments and loop of scipy's _minimize_lbfgsb at maxiter
+    cfg.max_epochs, ftol cfg.convergence_tol and gtol 1e-12, so the weights
+    and history are minimize's, bit for bit. The NLL at the start is
+    computed once: it is the history's first entry and the routine's first
+    request."""
+    from scipy.optimize import _lbfgsb
 
     if not model.constraints:
-        return FitResult(replace(model, weights=np.zeros(0)), (np.nan,), 0, stats.worlds)
-    w0 = np.full(len(model.constraints), cfg.init_weight)
-
-    history = [stats.nll_grad(w0)[0]]
+        # Nothing to fit: the empty weight vector is exact.
+        return FitResult(replace(model, weights=np.zeros(0)), (np.nan,), 0, stats.worlds, True)
+    n, m = len(model.constraints), 10  # m: minimize's maxcor
+    x = np.full(n, cfg.init_weight)  # the routine moves x in place
+    value = stats.nll_grad(x)  # the NLL and gradient at `at`
+    at, evaluations = x.copy(), 1
+    history = [value[0]]
     if not np.isfinite(history[0]):
         raise NumericalError("non-finite NLL at initialization")
 
-    def record(intermediate_result):
-        # The NLL L-BFGS has just computed at the accepted point.
-        value = float(intermediate_result.fun)
-        if not np.isfinite(value):
-            raise NumericalError(
-                f"non-finite NLL at iteration {len(history)}"
-            )
-        history.append(value)
-
-    result = optimize.minimize(
-        stats.nll_grad,
-        w0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={
-            "maxiter": cfg.max_epochs,
-            "ftol": cfg.convergence_tol,
-            "gtol": 1e-12,
-        },
-    )
-    w = np.asarray(result.x, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise NumericalError(f"non-finite weights after {len(history) - 1} iterations")
-    return FitResult(replace(model, weights=w), tuple(history), result.nit, stats.worlds)
+    unbounded, no_bound = np.zeros(n, np.int32), np.zeros(n)
+    factr = cfg.convergence_tol / np.finfo(float).eps
+    f, g = 0.0, np.zeros(n)  # not read before the first request
+    # The routine's state and work arrays, of minimize's sizes.
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    while True:
+        _lbfgsb.setulb(
+            m, x, no_bound, no_bound, unbounded, f, g, factr, 1e-12,
+            wa, iwa, task, lsave, isave, dsave, 20, ln_task,
+        )
+        state = task[0]
+        if state == 3:  # FG: the NLL and gradient at x, evaluated once per point
+            if (x != at).any():
+                value, at = stats.nll_grad(x), x.copy()
+                evaluations += 1
+            f, g = value
+        elif state == 1:  # NEW_X: an iteration accepted x, at the NLL f
+            if not np.isfinite(f):
+                raise NumericalError(f"non-finite NLL at iteration {len(history)}")
+            history.append(f)
+            if len(history) > cfg.max_epochs:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif evaluations > 15000:
+                task[:] = 5, 502  # STOP: evaluation limit, minimize's maxfun
+        else:
+            break
+    epochs = len(history) - 1
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"non-finite weights after {epochs} iterations")
+    # CONVERGENCE (4): the routine's own stopping test, minimize's success.
+    converged = bool(state == 4)
+    return FitResult(replace(model, weights=x), tuple(history), epochs, stats.worlds, converged)
 
 
 # ---------------------------------------------------------------------------

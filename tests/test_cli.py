@@ -122,6 +122,49 @@ def test_fit_space_cap_exit_code(workdir, capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "nan", "convergence_tol must be >= 0, got nan"),
+        ("--init-weight", "inf", "init_weight must be finite, got inf"),
+        ("--init-weight", "-inf", "init_weight must be finite, got -inf"),
+        ("--init-weight", "nan", "init_weight must be finite, got nan"),
+    ],
+)
+@pytest.mark.parametrize("command", ["fit", "search"])
+def test_invalid_fit_settings_exit_code(workdir, capsys, command, flag, value, message):
+    out = workdir / "out.json"
+    if command == "fit":
+        inputs = ["--constraints", workdir / "kb.txt", "--train", workdir / "train.csv"]
+    else:
+        data = _labeled_with_ids(workdir, ["a", "b", "c", "d"])
+        inputs = ["--train", data, "--val", data, "--concepts", "is_octagon"]
+    code = run(command, "--schema", workdir / "schema.json", *inputs, "--out", out, flag, value)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, summary",
+    [
+        (["--epochs", 200], "epochs used 27, converged yes"),
+        ([], "epochs used 10, converged no"),  # stopped by the 10-epoch default
+        (["--init-weight", "-1e300"], "epochs used 0, converged no"),  # ABNORMAL
+        (["--tol", "inf"], "epochs used 1, converged yes"),  # a valid tolerance
+    ],
+)
+def test_fit_reports_whether_it_converged(workdir, capsys, flags, summary):
+    code = run(
+        "fit", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--train", workdir / "train.csv", "--out", workdir / "w.json", *flags,
+    )
+    assert code == 0
+    assert capsys.readouterr().err.splitlines()[-1].endswith(summary)
+
+
 def test_score_and_explain(workdir):
     weights = workdir / "w.json"
     run(

@@ -1,14 +1,15 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize
 from scipy.special import logsumexp
 
 from conftest import interpret, random_ast, random_schema, random_vectors
+from fit_reference import reference_fit
 from logicood import mln
 from logicood.constraints import Not, compile_constraint, compile_source
 from logicood.errors import SpaceCapError, ValidationError
@@ -469,34 +470,29 @@ def test_fit_nll_monotone_and_deterministic(rng):
     assert np.all(np.diff(hist) <= 1e-12)
 
 
-def reference_fit(m, data, cfg):
-    """fit_weights with the NLL recomputed at every accepted iterate."""
-    stats = mln._stats(m, data, cfg.space_cap)
-    w0 = np.full(len(m.constraints), cfg.init_weight)
-    history = [stats.nll_grad(w0)[0]]
-    result = optimize.minimize(
-        stats.nll_grad,
-        w0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=lambda wk: history.append(stats.nll_grad(wk)[0]),
-        options={"maxiter": cfg.max_epochs, "ftol": cfg.convergence_tol, "gtol": 1e-12},
-    )
-    return tuple(history), result.x, result.nit
-
-
-@given(st.integers(0, 10_000), st.integers(1, 40))
+@given(st.integers(0, 10_000), st.integers(1, 200), st.sampled_from([0.0, 1e-9, 1e-3]))
 @settings(max_examples=40, deadline=None)
-def test_fit_history_bit_equal_to_recomputed_nll(seed, max_epochs):
+def test_fit_history_bit_equal_to_recomputed_nll(seed, max_epochs, tol):
     r = np.random.default_rng(seed)
     m = random_model(r)
     data = dataset(m.schema, random_vectors(r, m.schema, int(r.integers(1, 200))))
-    cfg = FitConfig(max_epochs=max_epochs, init_weight=float(r.choice([-1.0, 0.0, 2.0])))
-    fit = fit_weights(m, data, cfg)
-    history, weights, nit = reference_fit(m, data, cfg)
+    cfg = FitConfig(
+        max_epochs=max_epochs,
+        convergence_tol=tol,
+        init_weight=float(r.choice([-1.0, 0.0, 2.0])),
+    )
+    nll_grad = mln.SufficientStats.nll_grad
+    with mock.patch.object(
+        mln.SufficientStats, "nll_grad", autospec=True, side_effect=nll_grad
+    ) as calls:
+        fit = fit_weights(m, data, cfg)
+    history, result = reference_fit(mln._stats(m, data, cfg.space_cap), len(m.constraints), cfg)
     assert fit.nll_history == history
-    assert np.array_equal(fit.model.weights, weights)
-    assert fit.epochs_used == nit
+    assert np.array_equal(fit.model.weights, result.x)
+    assert fit.epochs_used == result.nit
+    assert fit.converged == result.success
+    # One evaluation per point the routine asks about, the start included.
+    assert calls.call_count == result.nfev
 
 
 _LSE_VALUES = st.one_of(
@@ -542,6 +538,29 @@ def test_fit_respects_space_cap():
     data = dataset(BIN2, [[1, 1]])
     with pytest.raises(SpaceCapError):
         fit_weights(m, data, FitConfig(space_cap=2))
+
+
+def test_empty_kb_fit_has_nothing_to_fit():
+    result = fit_weights(MlnModel(BIN2, (), np.zeros(0)), dataset(BIN2, [[1, 0]]))
+    assert result.model.weights.shape == (0,)
+    assert result.epochs_used == 0
+    assert result.converged
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("convergence_tol", math.nan),
+        ("convergence_tol", -1e-3),
+        ("init_weight", math.inf),
+        ("init_weight", -math.inf),
+        ("init_weight", math.nan),
+    ],
+)
+def test_fit_config_rejects_invalid_settings(field, value):
+    with pytest.raises(ValidationError, match=field):
+        FitConfig(**{field: value})
+    assert FitConfig(convergence_tol=math.inf).convergence_tol == math.inf
 
 
 # ---------------------------------------------------------------------------

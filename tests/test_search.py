@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import candidates_reference
+from fit_reference import reference_fit
 from conftest import random_ast, random_schema, random_vectors
-from logicood import search
+from logicood import mln, search
 from logicood.constraints import compile_constraint, compile_source, parse, pretty
 from logicood.errors import NumericalError, SpaceCapError, ValidationError
 from logicood.metrics import auroc
@@ -17,7 +18,6 @@ from logicood.mln import (
     MlnModel,
     WorldTable,
     enumerate_space,
-    fit_weights,
     mln_score_batch,
 )
 from logicood.schema import Dataset, schema_from_dict
@@ -284,7 +284,11 @@ def naive_search(train, val, pool, config):
             compile_constraint(ast, train.schema, constraint_id=i) for i, ast in enumerate(asts)
         )
         base = MlnModel(train.schema, compiled, np.zeros(len(compiled)))
-        return fit_weights(base, train_id, config.fit).model
+        stats = mln._stats(base, train_id, config.fit.space_cap)
+        if not compiled:
+            return base
+        _, result = reference_fit(stats, len(compiled), config.fit)
+        return dataclasses.replace(base, weights=result.x)
 
     def val_auroc(model):
         scores = mln_score_batch(model, val.vectors)
