@@ -31,7 +31,7 @@ from .mln import (
     nll_and_gradient,
 )
 from .schema import Dataset, Schema, load_dataset, load_schema, schema_from_dict
-from .search import CandidatePool, GeneratorConfig, SearchConfig, generate_candidates, greedy_search
+from .search import GeneratorConfig, SearchConfig, generate_candidates, greedy_search
 from .synth import (
     DetectorSpec,
     SynthSpec,

@@ -82,9 +82,7 @@ def _write_explanations(path, model, data) -> None:
     row, byte-identical to json.dumps(objects, indent=2) + "\n". Rows of
     one world differ only in "__id", so each world is explained and
     formatted once."""
-    _, first, world_of = np.unique(
-        data.vectors[:, model.mentioned_concepts], axis=0, return_index=True, return_inverse=True
-    )
+    grouped = mln.WorldCounts.of(model.mentioned_concepts, [data.vectors])
     # Each world's members after "__id", as json.dumps indents them in the list.
     head, tail = "[\n  {", "\n]"
     members = [
@@ -101,11 +99,11 @@ def _write_explanations(path, model, data) -> None:
                 for e in report.entries
             ],
         }], indent=2)[len(head):-len(tail)]
-        for report in mln.explain_batch(model, data.vectors[first])
+        for report in mln.explain_batch(model, grouped.worlds.T)
     ]
     rows = ",\n".join(
         f'  {{\n    "__id": {encode_basestring_ascii(sid)},{members[w]}'
-        for sid, w in zip(data.sample_ids, world_of.reshape(-1).tolist())
+        for sid, w in zip(data.sample_ids, grouped.world_of.tolist())
     )
     artifacts.write_text(path, f"[\n{rows}\n]\n" if rows else "[]\n")
 
@@ -227,7 +225,9 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     sch = schema_mod.load_schema(args.schema)
     train, val = _load_datasets(args.train, args.val, sch)
-    concepts = tuple(args.concepts.split(",")) if args.concepts else None
+    concepts = args.concepts
+    if concepts is not None:  # "" selects no concept, which generate_candidates rejects
+        concepts = tuple(concepts.split(",")) if concepts else ()
     pool = search.generate_candidates(
         sch,
         search.GeneratorConfig(

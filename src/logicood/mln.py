@@ -238,10 +238,13 @@ class WorldCounts:
     """Sets of rows counted per distinct world of some concepts: a row's
     values on them, every other column 0. The counts go onto the worlds of
     any table over a subset of those concepts in one pass over the
-    distinct worlds, of which there are at most as many as rows."""
+    distinct worlds, of which there are at most as many as rows. This is
+    the package's one grouping of rows by world; it sorts the rows'
+    values and never codes a world, so no space is too large for it."""
 
     worlds: np.ndarray  # (n_concepts, k) index columns of the distinct worlds
     counts: np.ndarray  # (sets, k) rows of each set in each world
+    world_of: np.ndarray  # (rows,) each row's world, the sets' rows in order
 
     @classmethod
     def of(cls, concepts, row_sets) -> WorldCounts:
@@ -265,7 +268,7 @@ class WorldCounts:
         worlds[concepts] = values[starts].T
         sets = np.repeat(np.arange(len(row_sets)), [len(r) for r in row_sets])
         counts = np.bincount(sets * k + world, minlength=len(row_sets) * k)
-        return cls(worlds, counts.reshape(len(row_sets), k))
+        return cls(worlds, counts.reshape(len(row_sets), k), world)
 
     def onto(self, table: WorldTable) -> np.ndarray:
         """(sets, worlds) counts per world of the table, in enumerate_space's
@@ -386,8 +389,9 @@ def fit_stats(model: MlnModel, stats: SufficientStats, cfg: FitConfig) -> FitRes
     from scipy.optimize import _lbfgsb
 
     if not model.constraints:
-        # Nothing to fit: the empty weight vector is exact.
-        return FitResult(replace(model, weights=np.zeros(0)), (np.nan,), 0, stats.worlds, True)
+        # Nothing to fit: the empty weight vector is exact, at the NLL log |space|.
+        nll = stats.nll_grad(np.zeros(0))[0]
+        return FitResult(replace(model, weights=np.zeros(0)), (nll,), 0, stats.worlds, True)
     n, m = len(model.constraints), 10  # m: minimize's maxcor
     x = np.full(n, cfg.init_weight)  # the routine moves x in place
     value = stats.nll_grad(x)  # the NLL and gradient at `at`

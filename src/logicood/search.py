@@ -12,6 +12,7 @@ acceptance margin delta_min.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from typing import NamedTuple
@@ -54,15 +55,6 @@ class GeneratorConfig:
                 raise ValidationError(f"unknown connective {c!r}")
 
 
-@dataclass(frozen=True)
-class CandidatePool:
-    config: GeneratorConfig
-    candidates: tuple[Node, ...]
-
-    def __len__(self):
-        return len(self.candidates)
-
-
 class _Literal(NamedTuple):
     ast: Node
     concept: int  # position in the concept selection
@@ -78,7 +70,7 @@ def _axes(truth: np.ndarray, depth: int) -> tuple[tuple[np.ndarray, ...], ...]:
     )
 
 
-def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePool:
+def generate_candidates(schema: Schema, config: GeneratorConfig) -> tuple[Node, ...]:
     """Deterministic pool: literals first (schema order, positive before
     negated), then implications by antecedent and consequent, then depth-3
     trees; logically equivalent duplicates keep the first-generated form."""
@@ -143,7 +135,7 @@ def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePoo
                 add(outer.node(inner.node(a.ast, b.ast), c.ast), [a, b, c],
                     lambda x, y, z: outer.truth(inner.truth(x, y), z))
 
-    return CandidatePool(config, tuple(pool))
+    return tuple(pool)
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,7 @@ def _tables_alone(schema: Schema, constraints, space_cap: int):
 
 
 def greedy_search(
-    train: Dataset, val: Dataset, pool: CandidatePool, config: SearchConfig
+    train: Dataset, val: Dataset, pool: Sequence[Node], config: SearchConfig
 ) -> SearchResult:
     """One pass over the pool, accepting candidates that lift validation
     AUROC by more than delta_min; exactly len(pool) fit/evaluate rounds.
@@ -233,7 +225,7 @@ def greedy_search(
 
     seeds = [compile_constraint(ast, schema, constraint_id=i)
              for i, ast in enumerate(config.seed_constraints)]
-    candidates = [compile_constraint(ast, schema) for ast in pool.candidates]
+    candidates = [compile_constraint(ast, schema) for ast in pool]
 
     def unfitted(constraints):
         constraints = tuple(constraints)
@@ -264,7 +256,7 @@ def greedy_search(
     best_j = max(config.baseline_j0, j) if working else config.baseline_j0
 
     audit: list[AuditEntry] = []
-    for index, (ast, candidate) in enumerate(zip(pool.candidates, candidates), len(seeds)):
+    for index, (ast, candidate) in enumerate(zip(pool, candidates), len(seeds)):
         source = pretty(ast)
         member = (index, replace(candidate, constraint_id=len(working)))
         try:

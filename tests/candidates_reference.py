@@ -11,7 +11,7 @@ from logicood.constraints import CONNECTIVES, Atom, Node, Not, compile_constrain
 from logicood.errors import ValidationError
 from logicood.mln import enumerate_space
 from logicood.schema import Schema
-from logicood.search import CandidatePool, GeneratorConfig
+from logicood.search import GeneratorConfig
 
 _CONNECTIVES = {c.token: c.node for c in CONNECTIVES}
 
@@ -21,7 +21,7 @@ def _truth_signature(ast: Node, schema: Schema, worlds) -> bytes:
     return compiled.evaluate_batch(worlds).tobytes()
 
 
-def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePool:
+def generate_candidates(schema: Schema, config: GeneratorConfig) -> tuple[Node, ...]:
     """Deterministic pool: literals first (schema order, positive before
     negated), then implications by antecedent and consequent, then depth-3
     trees; logically equivalent duplicates keep the first-generated form."""
@@ -84,4 +84,4 @@ def generate_candidates(schema: Schema, config: GeneratorConfig) -> CandidatePoo
                             add(outer_cls(a, inner_cls(b, c)))
                             add(outer_cls(inner_cls(a, b), c))
 
-    return CandidatePool(config, tuple(pool))
+    return tuple(pool)

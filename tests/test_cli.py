@@ -224,6 +224,37 @@ def test_score_and_fuse_write_the_same_explain_json(workdir):
     assert [entry["__id"] for entry in json.loads(written)] == [f"{s}_{i}" for i, s in enumerate(ids)]
 
 
+def test_explain_over_a_space_past_int64(tmp_path, rng):
+    # 30 five-valued concepts, all mentioned: 5^30 > 2^63 worlds, more
+    # than an int64 world code holds. The rows are grouped, never coded.
+    values = [f"v{k}" for k in range(5)]
+    names = [f"c{i}" for i in range(30)]
+    (tmp_path / "schema.json").write_text(json.dumps(dict.fromkeys(names, values)), "utf-8")
+    sources = [f"{a}=v1 -> {b}=v2" for a, b in zip(names[::2], names[1::2])]
+    (tmp_path / "kb.txt").write_text("\n".join(sources) + "\n", encoding="utf-8")
+    weights = _write_weights(tmp_path, json.dumps(
+        [{"constraint": s, "weight": w} for s, w in zip(sources, rng.normal(size=15))]
+    ))
+    # Few distinct rows, so that worlds repeat.
+    rows = rng.integers(0, 5, size=(8, 30))[rng.integers(0, 8, size=60)]
+    (tmp_path / "data.csv").write_text(
+        ",".join(names) + "\n" + "".join(",".join(values[v] for v in row) + "\n" for row in rows),
+        encoding="utf-8",
+    )
+    explain = tmp_path / "explain.json"
+    assert run(
+        "score", "--schema", tmp_path / "schema.json", "--constraints", tmp_path / "kb.txt",
+        "--weights", weights, "--data", tmp_path / "data.csv", "--out", tmp_path / "s.csv",
+        "--explain", explain,
+    ) == 0
+    sch = load_schema(tmp_path / "schema.json")
+    constraints = load_constraints(tmp_path / "kb.txt", sch)
+    model = MlnModel(sch, tuple(constraints), load_weights(weights, constraints))
+    assert len(model.mentioned_concepts) == 30
+    reference = explain_json(model, load_dataset(tmp_path / "data.csv", sch))
+    assert explain.read_bytes() == reference.encode("utf-8")
+
+
 def _synth_pipeline(tmp_path, seed):
     tmp_path.mkdir(parents=True, exist_ok=True)
     config = tmp_path / "spec.json"
@@ -475,6 +506,17 @@ def test_a_file_named_by_two_flags_is_parsed_once(workdir, monkeypatch):
     assert run("search", "--schema", workdir / "schema.json", "--train", data, "--val", other,
                "--concepts", "is_octagon", "--out", workdir / "search.json") == 0
     assert parsed[2:] == [str(data), str(other)]
+
+
+@pytest.mark.parametrize("form", [["--concepts", ""], ["--concepts="]])
+def test_search_rejects_an_empty_concept_selection(workdir, capsys, form):
+    data = _labeled_with_ids(workdir, ["a", "b", "c", "d"])
+    out = workdir / "search.json"
+    code = run("search", "--schema", workdir / "schema.json", "--train", data, "--val", data,
+               "--out", out, *form)
+    assert code == 2
+    assert "empty concept selection" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_search_connectives_separate_value(tmp_path):

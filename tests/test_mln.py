@@ -545,6 +545,8 @@ def test_empty_kb_fit_has_nothing_to_fit():
     assert result.model.weights.shape == (0,)
     assert result.epochs_used == 0
     assert result.converged
+    # Every row has probability 1/|space|, so the NLL is log 4.
+    assert result.nll_history == (math.log(4),)
 
 
 @pytest.mark.parametrize(

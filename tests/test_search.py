@@ -23,7 +23,6 @@ from logicood.mln import (
 from logicood.schema import Dataset, schema_from_dict
 from logicood.search import (
     AuditEntry,
-    CandidatePool,
     GeneratorConfig,
     SearchConfig,
     SearchResult,
@@ -44,14 +43,14 @@ def test_pool_two_concepts_depth2():
     pool = generate_candidates(BIN2, GeneratorConfig(max_depth=2))
     # 4 literals + 8 implications deduped by contrapositive to 4
     assert len(pool) == 8
-    sources = [pretty(c) for c in pool.candidates]
+    sources = [pretty(c) for c in pool]
     assert sources[:4] == ["p=true", "not p=true", "q=true", "not q=true"]
 
 
 def test_pool_depth1_single_concept():
     schema = schema_from_dict({"p": "binary"})
     pool = generate_candidates(schema, GeneratorConfig(max_depth=1))
-    assert [pretty(c) for c in pool.candidates] == ["p=true", "not p=true"]
+    assert [pretty(c) for c in pool] == ["p=true", "not p=true"]
 
 
 def test_pool_size_formula_14_concepts():
@@ -106,7 +105,7 @@ def test_pool_no_logical_duplicates():
     pool = generate_candidates(BIN4, GeneratorConfig(max_depth=2))
     worlds = enumerate_space(BIN4)
     tables = set()
-    for ast in pool.candidates:
+    for ast in pool:
         table = compile_constraint(ast, BIN4).evaluate_batch(worlds).tobytes()
         assert table not in tables
         tables.add(table)
@@ -114,7 +113,7 @@ def test_pool_no_logical_duplicates():
 
 def test_pool_contrapositive_keeps_positive_antecedent():
     pool = generate_candidates(BIN2, GeneratorConfig(max_depth=2))
-    sources = [pretty(c) for c in pool.candidates]
+    sources = [pretty(c) for c in pool]
     assert "p=true -> q=true" in sources
     assert "not q=true -> not p=true" not in sources
 
@@ -123,8 +122,8 @@ def test_pool_depth3_extends():
     pool2 = generate_candidates(BIN4, GeneratorConfig(max_depth=2))
     pool3 = generate_candidates(BIN4, GeneratorConfig(max_depth=3))
     assert len(pool3) > len(pool2)
-    sources2 = [pretty(c) for c in pool2.candidates]
-    sources3 = [pretty(c) for c in pool3.candidates]
+    sources2 = [pretty(c) for c in pool2]
+    sources3 = [pretty(c) for c in pool3]
     assert sources3[: len(pool2)] == sources2
     assert any("->" in s and s.count("->") == 2 or "(" in s for s in sources3)
 
@@ -145,7 +144,7 @@ def test_pool_for_concept_subset_matches_sub_schema_pool():
         expected = generate_candidates(
             sub, GeneratorConfig(max_depth=depth, connectives=connectives)
         )
-        assert pool.candidates == expected.candidates
+        assert pool == expected
 
 
 def test_pool_rejects_duplicate_selection():
@@ -167,7 +166,7 @@ def test_pool_rejects_empty_selection():
 def test_pool_determinism():
     a = generate_candidates(BIN4, GeneratorConfig(max_depth=2))
     b = generate_candidates(BIN4, GeneratorConfig(max_depth=2))
-    assert [pretty(c) for c in a.candidates] == [pretty(c) for c in b.candidates]
+    assert [pretty(c) for c in a] == [pretty(c) for c in b]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def naive_search(train, val, pool, config):
     if working:
         best_j = max(best_j, val_auroc(best_model))
     audit = []
-    for ast in pool.candidates:
+    for ast in pool:
         try:
             model = fit(working + [ast])
             j_prime = val_auroc(model)
@@ -338,10 +337,7 @@ def assert_same_search(train, val, pool, config, expected=None):
 def test_greedy_matches_naive_loop(seed):
     r = np.random.default_rng(seed)
     schema = random_schema(r, max_concepts=4, max_domain=3)
-    pool = CandidatePool(
-        GeneratorConfig(),
-        tuple(random_ast(r, schema, max_depth=3) for _ in range(int(r.integers(1, 12)))),
-    )
+    pool = tuple(random_ast(r, schema, max_depth=3) for _ in range(int(r.integers(1, 12))))
     seeds = tuple(random_ast(r, schema, max_depth=3) for _ in range(int(r.integers(0, 3))))
     config = SearchConfig(
         delta_min=float(r.choice([0.0, 0.001, 0.02])),
@@ -366,17 +362,14 @@ def test_greedy_matches_naive_loop_over_the_cap(rng):
     over = 0
     for _ in range(16):
         schema = random_schema(rng, max_concepts=6, max_domain=3)
-        pool = CandidatePool(
-            GeneratorConfig(),
-            tuple(random_ast(rng, schema, max_depth=2) for _ in range(int(rng.integers(1, 12)))),
-        )
+        pool = tuple(random_ast(rng, schema, max_depth=2) for _ in range(int(rng.integers(1, 12))))
         seeds = tuple(random_ast(rng, schema, max_depth=2) for _ in range(int(rng.integers(0, 2))))
         config = SearchConfig(delta_min=0.05, seed_constraints=seeds, fit=FitConfig(max_epochs=4))
         train = labeled_rows(rng, schema, int(rng.integers(3, 120)), 0.3)
         val = labeled_rows(rng, schema, int(rng.integers(2, 150)), 0.5)
         expected = naive_search(train, val, pool, config)
         needed = max(fit_spaces(schema, pool, config, expected.audit))
-        over += needed < space_of(schema, seeds + pool.candidates)
+        over += needed < space_of(schema, seeds + pool)
         capped = with_space_cap(config, needed)
         assert_same_capped_search(train, val, pool, capped, expected, needed)
     assert over >= 4  # a quarter of the examples
@@ -393,7 +386,7 @@ def fit_spaces(schema, pool, config, audit):
     """Worlds of each fit a search makes, replayed from its audit."""
     working = list(config.seed_constraints)
     spaces = [space_of(schema, working)]
-    for ast, entry in zip(pool.candidates, audit):
+    for ast, entry in zip(pool, audit):
         spaces.append(space_of(schema, working + [ast]))
         if entry.accepted:
             working.append(ast)
@@ -456,9 +449,7 @@ def test_greedy_matches_naive_loop_with_wide_working_set(rng):
     # 64-bit pattern code holds, and 2^70 possible patterns for 60 rows.
     schema = random_schema(rng, max_concepts=5, max_domain=3)
     seeds = tuple(random_ast(rng, schema, max_depth=3) for _ in range(70))
-    pool = CandidatePool(
-        GeneratorConfig(), tuple(random_ast(rng, schema, max_depth=3) for _ in range(8))
-    )
+    pool = tuple(random_ast(rng, schema, max_depth=3) for _ in range(8))
     config = SearchConfig(delta_min=0.0, seed_constraints=seeds, fit=FitConfig(max_epochs=3))
     train = labeled_rows(rng, schema, 80, 0.2)
     val = labeled_rows(rng, schema, 60, 0.5)

@@ -1,5 +1,6 @@
 """One world table: an AST scan of the package fails if rows are coded to
-worlds anywhere but mln.WorldTable.codes, if greedy_search evaluates a
+worlds anywhere but mln.WorldTable.codes, if rows are grouped by world
+anywhere but mln.WorldCounts.of, if greedy_search evaluates a
 constraint itself instead of reading a world table, if its candidate loop
 builds a world table or codes anything, or if candidate generation
 compiles, evaluates or enumerates anything."""
@@ -70,6 +71,36 @@ def _world_coding(tree):
     return found
 
 
+def _row_grouping(tree):
+    """(enclosing class and function, dotted, line) of every np.unique with
+    an axis keyword, which groups equal rows, and of every use of lexsort,
+    which sorts rows so that equal ones are adjacent. A 1-d np.unique, such
+    as metrics' grouping of equal scores, is not flagged."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            lexsort = (
+                (isinstance(child, ast.Name) and child.id == "lexsort")
+                or (isinstance(child, ast.Attribute) and child.attr == "lexsort")
+                or (isinstance(child, ast.alias) and child.name == "lexsort")
+            )
+            unique_rows = False
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                unique_rows = name == "unique" and any(k.arg == "axis" for k in child.keywords)
+            if lexsort or unique_rows:
+                found.append((scope, child.lineno))
+            if isinstance(child, ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(tree, None)
+    return sorted(found, key=lambda hit: hit[1])
+
+
 def _calls(function, names):
     """(called name, line) of every call to one of names in a function,
     nested functions included."""
@@ -131,6 +162,44 @@ def test_only_world_table_codes_rows_to_worlds():
             found[path.name] = hits
     assert set(found) == {"mln.py"}
     assert [function for function, _ in found["mln.py"]] == ["codes"]
+
+
+def test_only_world_counts_groups_rows_by_world():
+    """explain.json and greedy search both group rows through
+    mln.WorldCounts.of, which sorts and never codes a world."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        hits = _row_grouping(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
+    assert set(found) == {"mln.py"}
+    assert {function for function, _ in found["mln.py"]} == {"WorldCounts.of"}
+
+
+def test_grouping_scan_flags_each_form():
+    source = (
+        "from numpy import lexsort, unique\n"
+        "class WorldCounts:\n"
+        "    def of(cls, values):\n"
+        "        order = np.lexsort(values.T[::-1])\n"
+        "        return np.unique(values, axis=0)\n"
+        "def write(rows, scores):\n"
+        "    _, first, inverse = np.unique(rows, axis=0, return_index=True)\n"
+        "    unique(rows, axis=-1)\n"
+        "    distinct, inverse = np.unique(scores, return_inverse=True)\n"
+        "    key = numpy.lexsort\n"
+        "    def inner():\n"
+        "        return lexsort(rows)\n"
+    )
+    assert _row_grouping(ast.parse(source)) == [
+        (None, 1),
+        ("WorldCounts.of", 4),
+        ("WorldCounts.of", 5),
+        ("write", 7),
+        ("write", 8),
+        ("write", 10),
+        ("write.inner", 12),
+    ]
 
 
 def test_greedy_search_evaluates_no_constraint():
