@@ -214,21 +214,22 @@ def joined_table(
     schema: Schema, concepts, columns, space_cap: int = DEFAULT_SPACE_CAP
 ) -> WorldTable:
     """The table over the given concepts (ascending schema indices), under
-    the cap, whose columns are the given (table, column) pairs, each
-    broadcast from its table's concepts, which the given ones cover. With
-    the concepts a model mentions and each constraint's column in a table
-    of the constraints over its own concepts, this is world_table(model),
-    the same phi, and it evaluates nothing."""
+    the cap, whose columns are the given (concepts, values) pairs: a
+    constraint's ascending concepts, among the given ones, and its 0/1
+    values over their worlds in enumerate_space's order, broadcast onto
+    the table's worlds. With the concepts a model mentions and each
+    constraint's own column, this is world_table(model), the same phi, and
+    it evaluates nothing."""
     concepts = tuple(concepts)
     domain_sizes = schema.domain_sizes
     sizes = tuple(domain_sizes[ci] for ci in concepts)
     phi = np.empty((_capped_size(sizes, space_cap), len(columns)))
     grid = phi.reshape(*sizes, len(columns))
-    for i, (part, column) in enumerate(columns):
-        if not set(part.concepts).issubset(concepts):
-            raise ValidationError("a column's table has a concept outside the joined table")
-        grid[..., i] = part.phi[:, column].reshape(
-            [size if ci in part.concepts else 1 for ci, size in zip(concepts, sizes)]
+    for i, (own, values) in enumerate(columns):
+        if not set(own).issubset(concepts):
+            raise ValidationError("a column has a concept outside the joined table")
+        grid[..., i] = values.reshape(
+            [size if ci in own else 1 for ci, size in zip(concepts, sizes)]
         )
     return WorldTable(concepts, sizes, phi, _log_free(schema, concepts))
 
@@ -371,13 +372,17 @@ def fit_weights(
     iterations is non-increasing, and fitting stops when the improvement
     drops below cfg.convergence_tol or after cfg.max_epochs steps.
     """
-    return fit_stats(model, _stats(model, data, cfg.space_cap), cfg)
+    stats = _stats(model, data, cfg.space_cap)
+    weights, history, converged = fit_stats(stats, cfg)
+    fitted = replace(model, weights=weights)
+    return FitResult(fitted, history, len(history) - 1, stats.worlds, converged)
 
 
-def fit_stats(model: MlnModel, stats: SufficientStats, cfg: FitConfig) -> FitResult:
-    """fit_weights from the model's sufficient statistics: the one L-BFGS
-    driver, which greedy search also uses. cfg.space_cap is not read; the
-    statistics' world table has already been enumerated.
+def fit_stats(stats: SufficientStats, cfg: FitConfig) -> tuple[np.ndarray, tuple[float, ...], bool]:
+    """The weights, NLL history and convergence of fit_weights, from the
+    sufficient statistics alone: one weight per column of their world
+    table. This is the one L-BFGS driver, which greedy search also uses.
+    cfg.space_cap is not read; the table has already been enumerated.
 
     It drives L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SISC 1995) through the
     compiled routine that scipy.optimize.minimize(method="L-BFGS-B") runs,
@@ -388,11 +393,10 @@ def fit_stats(model: MlnModel, stats: SufficientStats, cfg: FitConfig) -> FitRes
     request."""
     from scipy.optimize import _lbfgsb
 
-    if not model.constraints:
+    n, m = stats.worlds.phi.shape[1], 10  # m: minimize's maxcor
+    if n == 0:
         # Nothing to fit: the empty weight vector is exact, at the NLL log |space|.
-        nll = stats.nll_grad(np.zeros(0))[0]
-        return FitResult(replace(model, weights=np.zeros(0)), (nll,), 0, stats.worlds, True)
-    n, m = len(model.constraints), 10  # m: minimize's maxcor
+        return np.zeros(0), (stats.nll_grad(np.zeros(0))[0],), True
     x = np.full(n, cfg.init_weight)  # the routine moves x in place
     value = stats.nll_grad(x)  # the NLL and gradient at `at`
     at, evaluations = x.copy(), 1
@@ -429,12 +433,10 @@ def fit_stats(model: MlnModel, stats: SufficientStats, cfg: FitConfig) -> FitRes
                 task[:] = 5, 502  # STOP: evaluation limit, minimize's maxfun
         else:
             break
-    epochs = len(history) - 1
     if not np.all(np.isfinite(x)):
-        raise NumericalError(f"non-finite weights after {epochs} iterations")
+        raise NumericalError(f"non-finite weights after {len(history) - 1} iterations")
     # CONVERGENCE (4): the routine's own stopping test, minimize's success.
-    converged = bool(state == 4)
-    return FitResult(replace(model, weights=x), tuple(history), epochs, stats.worlds, converged)
+    return x, tuple(history), bool(state == 4)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import NamedTuple
 
@@ -27,11 +27,10 @@ from .mln import (
     MlnModel,
     SufficientStats,
     WorldCounts,
-    WorldTable,
+    enumerate_space,
     fit_stats,
     joined_table,
     scores_from_columns,
-    world_table,
 )
 from .schema import Dataset, Schema, id_subset
 
@@ -146,8 +145,10 @@ class SearchConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
-        if self.delta_min < 0:
-            raise ValidationError("delta_min must be >= 0")
+        if not 0 <= self.delta_min < math.inf:  # NaN too
+            raise ValidationError(f"delta_min must be finite and >= 0, got {self.delta_min}")
+        if not math.isfinite(self.baseline_j0):
+            raise ValidationError(f"baseline_j0 must be finite, got {self.baseline_j0}")
 
 
 @dataclass(frozen=True)
@@ -179,23 +180,25 @@ class SearchResult:
         }
 
 
-def _tables_alone(schema: Schema, constraints, space_cap: int):
-    """Each constraint's (world table, column), evaluated once over the
-    worlds of its own concepts: one table per set of concepts. A set over
-    the cap gets None instead, which no fit reads: every fit with its
-    constraints is over the cap too, and raises first."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, c in enumerate(constraints):
-        groups.setdefault(c.concept_indices, []).append(i)
-    alone: list[tuple[WorldTable, int] | None] = [None] * len(constraints)
-    sizes = schema.domain_sizes
-    for concepts, members in groups.items():
-        if math.prod(sizes[ci] for ci in concepts) <= space_cap:
-            group = tuple(constraints[i] for i in members)
-            table = world_table(MlnModel(schema, group, np.zeros(len(group))), space_cap)
-            for column, i in enumerate(members):
-                alone[i] = (table, column)
-    return alone
+def _own_columns(schema: Schema, trees, space_cap: int):
+    """Each tree's (concepts, values): the schema indices it mentions,
+    ascending, and its 0/1 values over their worlds, which are enumerated
+    once per set of concepts. Each tree is compiled here, so a tree that
+    does not compile raises before any fit; the compiled constraint is not
+    kept. A set over the cap gets values None, which no fit reads: every
+    fit with the tree is over the cap too, and raises first."""
+    worlds: dict[tuple[int, ...], np.ndarray | None] = {}
+    columns = []
+    for tree in trees:
+        constraint = compile_constraint(tree, schema)
+        concepts = tuple(sorted(constraint.concept_indices))
+        if concepts not in worlds:
+            size = math.prod(schema.domain_sizes[ci] for ci in concepts)
+            under = size <= space_cap
+            worlds[concepts] = enumerate_space(schema, space_cap, concepts) if under else None
+        own = worlds[concepts]
+        columns.append((concepts, None if own is None else constraint._truth(own)))
+    return columns
 
 
 def greedy_search(
@@ -204,13 +207,13 @@ def greedy_search(
     """One pass over the pool, accepting candidates that lift validation
     AUROC by more than delta_min; exactly len(pool) fit/evaluate rounds.
 
-    The training and validation rows are counted once per distinct world
-    of the concepts any seed or candidate mentions, and each constraint is
-    evaluated once, over the worlds of its own concepts. A fit joins its
+    Each seed and candidate is evaluated once, over the worlds of its own
+    concepts, and the training and validation rows are counted once per
+    distinct world of the concepts any of them mentions. A fit joins its
     members' columns onto its worlds and sums the counts onto them, so its
     statistics and its validation AUROC are those of its own world table,
-    bit for bit, with no world enumerated, constraint evaluated or row
-    coded."""
+    bit for bit, with no world enumerated, constraint compiled or evaluated,
+    or row coded. Only the accepted set is compiled again, for the model."""
     if len(pool) == 0:
         raise ValidationError("candidate pool is empty")
     if val.schema != train.schema:
@@ -223,52 +226,45 @@ def greedy_search(
     schema = train.schema
     space_cap = config.fit.space_cap
 
-    seeds = [compile_constraint(ast, schema, constraint_id=i)
-             for i, ast in enumerate(config.seed_constraints)]
-    candidates = [compile_constraint(ast, schema) for ast in pool]
-
-    def unfitted(constraints):
-        constraints = tuple(constraints)
-        return MlnModel(schema, constraints, np.zeros(len(constraints)))
-
-    constraints = seeds + candidates
-    alone = _tables_alone(schema, constraints, space_cap)
+    trees = (*config.seed_constraints, *pool)
+    columns = _own_columns(schema, trees, space_cap)
     rows = WorldCounts.of(
-        unfitted(constraints).mentioned_concepts,
+        sorted(set().union(*(concepts for concepts, _ in columns))),
         [train_id.vectors, val.vectors[~val.is_ood], val.vectors[val.is_ood]],
     )
 
     def fit(members):
-        """Fit the (pool index, constraint) members; the result and its
+        """Fit the members, indices into trees; the weights and their
         validation AUROC."""
-        model = unfitted(c for _, c in members)
-        columns = [alone[i] for i, _ in members]
-        table = joined_table(schema, model.mentioned_concepts, columns, space_cap)
+        own = [columns[i] for i in members]
+        concepts = sorted(set().union(*(c for c, _ in own)))
+        table = joined_table(schema, concepts, own, space_cap)
         train_counts, val_id, val_ood = rows.onto(table)
-        fitted = fit_stats(model, SufficientStats.from_counts(table, train_counts), config.fit)
+        weights = fit_stats(SufficientStats.from_counts(table, train_counts), config.fit)[0]
         # A constraint reads only the concepts it mentions, so a row scores
         # as its world: bit-equal to auroc over mln_score_batch of every row.
-        scores = scores_from_columns(fitted.model.weights, table.phi.T, len(table.phi))
-        return fitted, auroc_from_counts(scores, val_id, val_ood)
+        scores = scores_from_columns(weights, table.phi.T, len(table.phi))
+        return weights, auroc_from_counts(scores, val_id, val_ood)
 
-    working = list(enumerate(seeds))
+    working = list(range(len(config.seed_constraints)))
     best, j = fit(working)
     best_j = max(config.baseline_j0, j) if working else config.baseline_j0
 
     audit: list[AuditEntry] = []
-    for index, (ast, candidate) in enumerate(zip(pool, candidates), len(seeds)):
-        source = pretty(ast)
-        member = (index, replace(candidate, constraint_id=len(working)))
+    for index, tree in enumerate(pool, len(config.seed_constraints)):
+        source = pretty(tree)
         try:
-            fitted, j_prime = fit(working + [member])
+            weights, j_prime = fit(working + [index])
         except NumericalError as exc:
             audit.append(AuditEntry(source, None, False, str(exc)))
             continue
         accepted = j_prime > best_j + config.delta_min
         audit.append(AuditEntry(source, j_prime, accepted))
         if accepted:
-            working.append(member)
+            working.append(index)
             best_j = j_prime
-            best = fitted
+            best = weights
 
-    return SearchResult(best.model, best_j, tuple(audit), len(pool), config.delta_min)
+    kb = tuple(compile_constraint(trees[i], schema, constraint_id=k) for k, i in enumerate(working))
+    model = MlnModel(schema, kb, best)
+    return SearchResult(model, best_j, tuple(audit), len(pool), config.delta_min)

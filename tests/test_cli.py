@@ -148,6 +148,31 @@ def test_invalid_fit_settings_exit_code(workdir, capsys, command, flag, value, m
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--baseline", "nan", "baseline_j0 must be finite, got nan"),
+        ("--baseline", "inf", "baseline_j0 must be finite, got inf"),
+        ("--baseline", "-inf", "baseline_j0 must be finite, got -inf"),
+        ("--delta-min", "nan", "delta_min must be finite and >= 0, got nan"),
+        ("--delta-min", "inf", "delta_min must be finite and >= 0, got inf"),
+    ],
+)
+def test_invalid_search_settings_exit_code(workdir, capsys, flag, value, message):
+    # A NaN or infinite baseline would be written to search.json as its
+    # final AUROC, which is not JSON; a NaN margin would accept nothing.
+    data = _labeled_with_ids(workdir, ["a", "b", "c", "d"])
+    out = workdir / "search.json"
+    code = run(
+        "search", "--schema", workdir / "schema.json", "--train", data, "--val", data,
+        "--concepts", "is_octagon", "--out", out, flag, value,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flags, summary",
     [
         (["--epochs", 200], "epochs used 27, converged yes"),

@@ -347,16 +347,14 @@ def test_world_table_codes_match_ravel_multi_index(seed, empty_kb):
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_joined_table_is_the_models_world_table(seed):
-    # Each constraint's column in a table over its own concepts, beside its
-    # negation, broadcast onto the model's worlds: world_table(model).
+    # Each constraint's own column, its concepts and its 0/1 values over
+    # their worlds alone, broadcast onto the model's worlds: world_table(model).
     r = np.random.default_rng(seed)
     m = partial_kb_model(r)
     columns = []
     for c in m.constraints:
-        negated = compile_constraint(Not(c.ast), m.schema)
-        column = int(r.integers(0, 2))
-        pair = (c, negated) if column == 0 else (negated, c)
-        columns.append((mln.world_table(MlnModel(m.schema, pair, np.zeros(2))), column))
+        own = tuple(sorted(c.concept_indices))
+        columns.append((own, c.evaluate_batch(enumerate_space(m.schema, concepts=own))))
     expected = mln.world_table(m)
     got = mln.joined_table(m.schema, m.mentioned_concepts, columns)
     assert got.concepts == expected.concepts and got.sizes == expected.sizes
@@ -366,11 +364,11 @@ def test_joined_table_is_the_models_world_table(seed):
 
 def test_joined_table_checks_its_concepts_and_the_cap():
     m = model(BIN2, ["p", "q", "p and q"], [0.0, 0.0, 0.0])
-    alone = mln.world_table(MlnModel(BIN2, m.constraints[1:2], np.zeros(1)))
+    q = ((1,), m.constraints[1].evaluate_batch(enumerate_space(BIN2, concepts=(1,))))
     with pytest.raises(ValidationError, match="outside the joined table"):
-        mln.joined_table(BIN2, (0,), [(alone, 0)])
+        mln.joined_table(BIN2, (0,), [q])
     with pytest.raises(SpaceCapError) as joined:
-        mln.joined_table(BIN2, (0, 1), [(alone, 0)], space_cap=3)
+        mln.joined_table(BIN2, (0, 1), [q], space_cap=3)
     with pytest.raises(SpaceCapError) as enumerated:
         mln.world_table(m, space_cap=3)
     assert str(joined.value) == str(enumerated.value)

@@ -11,7 +11,7 @@ from fit_reference import reference_fit
 from conftest import random_ast, random_schema, random_vectors
 from logicood import mln, search
 from logicood.constraints import compile_constraint, compile_source, parse, pretty
-from logicood.errors import NumericalError, SpaceCapError, ValidationError
+from logicood.errors import CompileError, NumericalError, SpaceCapError, ValidationError
 from logicood.metrics import auroc
 from logicood.mln import (
     FitConfig,
@@ -267,6 +267,66 @@ def test_greedy_rejects_val_of_another_schema():
         greedy_search(train, val, pool, SearchConfig())
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("delta_min", math.nan), ("delta_min", math.inf), ("delta_min", -0.5),
+     ("baseline_j0", math.nan), ("baseline_j0", math.inf), ("baseline_j0", -math.inf)],
+)
+def test_search_config_rejects_a_non_finite_margin_or_baseline(field, value):
+    with pytest.raises(ValidationError, match=field):
+        SearchConfig(**{field: value})
+
+
+def test_greedy_compiles_each_tree_up_front_and_the_accepted_set_at_the_end(monkeypatch):
+    """Every seed and pool tree is compiled once before the first fit, and
+    nothing in the loop; the accepted set is compiled once more, in order,
+    for the model."""
+    train = planted_benchmark(seed=7, n=300)
+    val = planted_benchmark(seed=8, n=300)
+    pool = generate_candidates(BIN4, GeneratorConfig(connectives=("xor",)))
+    config = SearchConfig(seed_constraints=(parse("c0 xor c1"),))
+    compiled, at_fit = [], []
+    compile_tree, fit = search.compile_constraint, search.fit_stats
+    monkeypatch.setattr(
+        search, "compile_constraint",
+        lambda tree, *a, **k: compiled.append(tree) or compile_tree(tree, *a, **k),
+    )
+    monkeypatch.setattr(search, "fit_stats", lambda *a: at_fit.append(len(compiled)) or fit(*a))
+    result = greedy_search(train, val, pool, config)
+    monkeypatch.undo()
+    trees = [*config.seed_constraints, *pool]
+    assert compiled[: len(trees)] == trees
+    assert at_fit == [len(trees)] * (1 + len(pool))
+    accepted = [tree for tree, entry in zip(pool, result.audit) if entry.accepted]
+    assert accepted and compiled[len(trees):] == [*config.seed_constraints, *accepted]
+    assert [c.constraint_id for c in result.model.constraints] == list(range(1 + len(accepted)))
+
+
+@pytest.mark.parametrize(
+    "source, error, message",
+    [("color", CompileError, "bare atom 'color' requires a binary concept"),
+     ("c0 -> shape=round", ValidationError, "unknown concept: 'shape'")],
+)
+@pytest.mark.parametrize("as_seed", [False, True])
+def test_a_tree_that_does_not_compile_raises_before_any_fit(
+    monkeypatch, rng, source, error, message, as_seed
+):
+    schema = schema_from_dict({"c0": "binary", "c1": "binary", "color": ["red", "green", "blue"]})
+    train = labeled_rows(rng, schema, 40, 0.3)
+    val = labeled_rows(rng, schema, 40, 0.5)
+    pool = generate_candidates(schema, GeneratorConfig(concepts=("c0", "c1")))
+    seeds = (parse("c0 xor c1"),)
+    if as_seed:
+        seeds += (parse(source),)
+    else:
+        pool += (parse(source),)
+    fits = []
+    monkeypatch.setattr(search, "fit_stats", lambda *a: fits.append(a))
+    with pytest.raises(error, match=message):
+        greedy_search(train, val, pool, SearchConfig(seed_constraints=seeds))
+    assert fits == []
+
+
 # ---------------------------------------------------------------------------
 # Greedy search against a naive loop that refits, rescores every validation
 # row and reranks for each candidate
@@ -424,20 +484,23 @@ def test_fit_over_the_cap_raises_space_cap_error():
 
 
 def test_greedy_evaluates_once_and_codes_only_distinct_worlds(monkeypatch):
-    """The search builds one world table per set of concepts a constraint
-    mentions, before any fit, and codes only the distinct worlds of the
-    rows, at most 16 here, to each fit's worlds: never the 300 + 300 rows."""
+    """The search enumerates the worlds of each set of concepts a
+    constraint mentions once, before any fit, and codes only the distinct
+    worlds of the rows, at most 16 here, to each fit's worlds: never the
+    300 + 300 rows."""
     train = planted_benchmark(seed=7, n=300)
     val = planted_benchmark(seed=8, n=300)
     pool = generate_candidates(BIN4, GeneratorConfig(max_depth=1))
-    built, coded = [], []
-    world_table, codes = search.world_table, WorldTable.codes
-    monkeypatch.setattr(search, "world_table", lambda *a: built.append(a) or world_table(*a))
+    enumerated, coded = [], []
+    enumerate_own, codes = search.enumerate_space, WorldTable.codes
+    monkeypatch.setattr(
+        search, "enumerate_space", lambda *a: enumerated.append(a) or enumerate_own(*a)
+    )
     monkeypatch.setattr(WorldTable, "codes", lambda t, c: coded.append(c.shape[1]) or codes(t, c))
     result = greedy_search(train, val, pool, SearchConfig())
     monkeypatch.undo()
     assert result.to_json_dict() == naive_search(train, val, pool, SearchConfig()).to_json_dict()
-    assert len(built) == len(BIN4)  # c_i=true and not c_i=true share a table
+    assert len(enumerated) == len(BIN4)  # c_i=true and not c_i=true share their worlds
     assert len(coded) == 1 + len(pool)  # the seed fit and each candidate's
     rows = np.concatenate([train.vectors[~train.is_ood], val.vectors])
     assert set(coded) == {len(np.unique(rows, axis=0))}

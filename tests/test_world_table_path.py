@@ -1,9 +1,10 @@
 """One world table: an AST scan of the package fails if rows are coded to
 worlds anywhere but mln.WorldTable.codes, if rows are grouped by world
-anywhere but mln.WorldCounts.of, if greedy_search evaluates a
-constraint itself instead of reading a world table, if its candidate loop
-builds a world table or codes anything, or if candidate generation
-compiles, evaluates or enumerates anything."""
+anywhere but mln.WorldCounts.of, if greedy_search evaluates a constraint
+itself instead of reading its trees' own columns, if its candidate loop
+builds a world table or a model, codes anything or compiles or replaces a
+constraint, or if candidate generation compiles, evaluates or enumerates
+anything."""
 
 import ast
 from pathlib import Path
@@ -212,8 +213,8 @@ def test_greedy_search_evaluates_no_constraint():
 
 
 def test_greedy_candidate_loop_builds_and_codes_no_table():
-    """Every world table is built and the rows grouped once, before the
-    loop; each fit joins columns of those tables and sums the counts onto
+    """Every tree's own column is evaluated and the rows grouped once,
+    before the loop; each fit joins those columns and sums the counts onto
     its worlds through mln.WorldCounts.onto, which codes the distinct
     worlds only (see test_search)."""
     tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
@@ -256,6 +257,47 @@ def test_loop_scan_flags_each_form():
     ]
 
 
+def test_greedy_candidate_loop_compiles_and_builds_no_model():
+    """Each fit reads only its statistics: the loop compiles no tree,
+    builds no MlnModel and replaces nothing. Trees are compiled once before
+    it, and the accepted set once after it, for the model."""
+    tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    greedy = _function(tree, "greedy_search")
+    assert _loop_calls(tree, greedy, {"MlnModel", "replace", "compile_constraint"}) == []
+    # The scan sees greedy_search compile the accepted set and build its
+    # model after the loop, so it is not blind to these names.
+    assert {name for name, _ in _calls(greedy, {"MlnModel", "compile_constraint"})} == {
+        "MlnModel",
+        "compile_constraint",
+    }
+
+
+def test_loop_scan_flags_models_replacements_and_compiles():
+    source = (
+        "def greedy_search(pool, schema):\n"
+        "    model = MlnModel(schema, (), w)\n"
+        "    def fit(members):\n"
+        "        return dataclasses.replace(model, weights=w)\n"
+        "    for tree in pool:\n"
+        "        MlnModel(schema, (tree,), w)\n"
+        "        fit(tree)\n"
+        "    while pool:\n"
+        "        pool = _compiled(pool, schema)\n"
+        "    return [compile_constraint(t, schema) for t in pool]\n"
+        "def _compiled(pool, schema):\n"
+        "    compiled = compile_constraint(pool[0], schema)\n"
+        "    return replace(compiled, constraint_id=1)\n"
+    )
+    tree = ast.parse(source)
+    greedy = _function(tree, "greedy_search")
+    assert _loop_calls(tree, greedy, {"MlnModel", "replace", "compile_constraint"}) == [
+        ("replace", 4),
+        ("MlnModel", 6),
+        ("compile_constraint", 12),
+        ("replace", 13),
+    ]
+
+
 def test_candidate_generation_compiles_and_enumerates_nothing():
     """Candidates are deduplicated on truth tables composed from the
     connectives' truth functions, not on compiled constraints evaluated
@@ -265,7 +307,7 @@ def test_candidate_generation_compiles_and_enumerates_nothing():
     assert _evaluations(generate) == []
     building = {"compile_constraint", "compile_source", "enumerate_space"}
     assert _calls(generate, building) == []
-    # The scan sees greedy_search compile each candidate, so it is not blind.
+    # The scan sees greedy_search compile the accepted set, so it is not blind.
     assert _calls(_function(tree, "greedy_search"), building)
 
 
