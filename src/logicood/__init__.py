@@ -5,6 +5,7 @@ Subpackage map:
 - artifacts: the atomic file writer and the JSON reader every artifact uses
 - schema: semantic space definition, dataset I/O
 - constraints: constraint DSL parser and batch compiler
+- compiled: scipy's compiled modules, loaded alone; the L-BFGS-B driver
 - mln: log-linear constraint model, exact inference, weight learning
 - distributions: parametric score normalization (GEV et al.)
 - fusion: combined outlier score and thresholding

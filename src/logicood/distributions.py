@@ -4,9 +4,9 @@ The survival function P(S >= s) of the fitted distribution turns raw
 detector scores into [0, 1] "how extreme is this" values. The default
 family is the generalized extreme value distribution; uniform, normal,
 generalized normal, lognormal, and a pass-through `none` family are
-available for ablations. Each family is one entry of `_FAMILIES`, and
-scipy is imported only inside the functions that call it: the laws use
-`scipy.special` alone, and only the generalized-normal fit `scipy.stats`.
+available for ablations. Each family is one entry of `_FAMILIES`. The
+laws take their functions from compiled.special and the GEV fit runs
+compiled.lbfgsb; only the generalized-normal fit imports scipy.stats.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .artifacts import read_json, write_json
+from .compiled import lbfgsb, special
 from .errors import NumericalError, ValidationError
 
 MIN_PARAMETRIC_SAMPLES = 20
@@ -66,8 +67,6 @@ def _gev_nll(params, x):
 
 def _gev_pwm_start(x):
     """Hosking's probability-weighted-moment estimators."""
-    from scipy.special import gamma
-
     xs = np.sort(x)
     n = xs.size
     j = np.arange(n)
@@ -80,29 +79,22 @@ def _gev_pwm_start(x):
         sigma = (2 * b1 - b0) / math.log(2)
         mu = b0 - 0.5772156649015329 * sigma
         return mu, sigma, 0.0
-    gk = gamma(1 + k)
+    gk = special.gamma(1 + k)
     sigma = (2 * b1 - b0) * k / (gk * (1 - 2.0 ** (-k)))
     mu = b0 + sigma * (gk - 1) / k
     return mu, sigma, -k
 
 
 def _fit_gev(x):
-    from scipy import optimize
-
     mu0, sigma0, xi0 = _gev_pwm_start(_spread(x))
     if not (np.isfinite(mu0) and np.isfinite(sigma0) and sigma0 > 0):
         mu0, sigma0, xi0 = x.mean(), x.std(), 0.0
     xi0 = float(np.clip(xi0, -_SHAPE_BOUND + 1e-3, _SHAPE_BOUND - 1e-3))
-    result = optimize.minimize(
-        _gev_nll,
-        np.array([mu0, math.log(sigma0), xi0]),
-        args=(x,),
-        method="L-BFGS-B",
-        bounds=[(None, None), (None, None), (-_SHAPE_BOUND, _SHAPE_BOUND)],
-    )
-    if not np.all(np.isfinite(result.x)):
-        raise NumericalError(f"GEV fit failed: {result.message}")
-    mu, log_sigma, xi = result.x
+    bounds = ([-np.inf, -np.inf, -_SHAPE_BOUND], [np.inf, np.inf, _SHAPE_BOUND])
+    params, _ = lbfgsb(lambda p: _gev_nll(p, x), [mu0, math.log(sigma0), xi0], bounds, jac=False)
+    if not np.all(np.isfinite(params)):
+        raise NumericalError("GEV fit failed: non-finite parameters")
+    mu, log_sigma, xi = params
     return mu, math.exp(log_sigma), xi
 
 
@@ -239,7 +231,7 @@ class _Family(NamedTuple):
     params: tuple[str, ...]  # in the order dist.json writes them
     positive: tuple[str, ...] = ()  # params that must be > 0
     fit: Callable | None = None  # finite sample -> param values; None passes scores through
-    law: Callable | None = None  # (scipy.special, *param values) -> _Law
+    law: Callable | None = None  # (compiled.special, *param values) -> _Law
     ordered: tuple[str, ...] = ()  # params that must strictly increase
     flag: str | None = None  # the CLI's --family spelling, when not the name
 
@@ -256,7 +248,7 @@ _FAMILIES = {
     "normal": _Family(
         ("mean", "std"), ("std",), lambda x: (_spread(x).mean(), x.std()),
         lambda sc, mean, std: _Law(mean, std, (-np.inf, np.inf), (
-            lambda z: sc.ndtr(-z), sc.ndtr, sc.ndtri,
+            lambda z: sc.ndtr(-z), sc.ndtr, lambda q: sc.ndtri(q),
             lambda z: -z**2 / 2.0 - np.log(np.sqrt(2 * np.pi)),
         )),
     ),
@@ -328,8 +320,6 @@ def _law(d: ScoreDistribution) -> _Law | None:
     fam = _FAMILIES[d.family]
     if fam.law is None:
         return None
-    from scipy import special
-
     return fam.law(special, *(d.params[k] for k in fam.params))
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .artifacts import read_json, write_json
+from .compiled import lbfgsb
 from .constraints import CompiledConstraint
 from .errors import NumericalError, SpaceCapError, ValidationError
 from .schema import Dataset, Schema
@@ -381,62 +382,27 @@ def fit_weights(
 def fit_stats(stats: SufficientStats, cfg: FitConfig) -> tuple[np.ndarray, tuple[float, ...], bool]:
     """The weights, NLL history and convergence of fit_weights, from the
     sufficient statistics alone: one weight per column of their world
-    table. This is the one L-BFGS driver, which greedy search also uses.
-    cfg.space_cap is not read; the table has already been enumerated.
-
-    It drives L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SISC 1995) through the
-    compiled routine that scipy.optimize.minimize(method="L-BFGS-B") runs,
-    with the arguments and loop of scipy's _minimize_lbfgsb at maxiter
-    cfg.max_epochs, ftol cfg.convergence_tol and gtol 1e-12, so the weights
-    and history are minimize's, bit for bit. The NLL at the start is
-    computed once: it is the history's first entry and the routine's first
-    request."""
-    from scipy.optimize import _lbfgsb
-
-    n, m = stats.worlds.phi.shape[1], 10  # m: minimize's maxcor
+    table (cfg.space_cap is not read). It is compiled.lbfgsb with the exact
+    gradient, maxiter cfg.max_epochs, ftol cfg.convergence_tol and gtol
+    1e-12, so minimize(method="L-BFGS-B")'s fit, bit for bit; the NLL at
+    the start is the history's first entry and the routine's first request."""
+    n = stats.worlds.phi.shape[1]
     if n == 0:
         # Nothing to fit: the empty weight vector is exact, at the NLL log |space|.
         return np.zeros(0), (stats.nll_grad(np.zeros(0))[0],), True
-    x = np.full(n, cfg.init_weight)  # the routine moves x in place
-    value = stats.nll_grad(x)  # the NLL and gradient at `at`
-    at, evaluations = x.copy(), 1
-    history = [value[0]]
-    if not np.isfinite(history[0]):
-        raise NumericalError("non-finite NLL at initialization")
+    history = []
 
-    unbounded, no_bound = np.zeros(n, np.int32), np.zeros(n)
-    factr = cfg.convergence_tol / np.finfo(float).eps
-    f, g = 0.0, np.zeros(n)  # not read before the first request
-    # The routine's state and work arrays, of minimize's sizes.
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    while True:
-        _lbfgsb.setulb(
-            m, x, no_bound, no_bound, unbounded, f, g, factr, 1e-12,
-            wa, iwa, task, lsave, isave, dsave, 20, ln_task,
-        )
-        state = task[0]
-        if state == 3:  # FG: the NLL and gradient at x, evaluated once per point
-            if (x != at).any():
-                value, at = stats.nll_grad(x), x.copy()
-                evaluations += 1
-            f, g = value
-        elif state == 1:  # NEW_X: an iteration accepted x, at the NLL f
-            if not np.isfinite(f):
-                raise NumericalError(f"non-finite NLL at iteration {len(history)}")
-            history.append(f)
-            if len(history) > cfg.max_epochs:
-                task[:] = 5, 504  # STOP: iteration limit
-            elif evaluations > 15000:
-                task[:] = 5, 502  # STOP: evaluation limit, minimize's maxfun
-        else:
-            break
+    def accept(nll):  # at the start, then after each iteration
+        if not math.isfinite(nll):
+            at = f"iteration {len(history)}" if history else "initialization"
+            raise NumericalError(f"non-finite NLL at {at}")
+        history.append(nll)
+
+    x, converged = lbfgsb(stats.nll_grad, np.full(n, cfg.init_weight), maxiter=cfg.max_epochs,
+                          ftol=cfg.convergence_tol, gtol=1e-12, accept=accept)
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"non-finite weights after {len(history) - 1} iterations")
-    # CONVERGENCE (4): the routine's own stopping test, minimize's success.
-    return x, tuple(history), bool(state == 4)
+    return x, tuple(history), converged
 
 
 # ---------------------------------------------------------------------------

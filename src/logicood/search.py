@@ -149,6 +149,8 @@ class SearchConfig:
             raise ValidationError(f"delta_min must be finite and >= 0, got {self.delta_min}")
         if not math.isfinite(self.baseline_j0):
             raise ValidationError(f"baseline_j0 must be finite, got {self.baseline_j0}")
+        if not 0 <= self.baseline_j0 <= 1:  # the final AUROC when nothing is accepted
+            raise ValidationError(f"baseline_j0 must be an AUROC in [0, 1], got {self.baseline_j0}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
-"""The weight fit through scipy.optimize.minimize(method="L-BFGS-B"): the
-oracle for mln.fit_stats, which drives the same compiled routine with its
-own loop, so a bug in that loop cannot show on both sides."""
+"""The weight and GEV fits through scipy.optimize.minimize(method="L-BFGS-B"):
+the oracles for mln.fit_stats and distributions._fit_gev, which drive the
+same compiled routine through compiled.lbfgsb, the package's own loop, so
+a bug in that loop or its finite-difference gradient cannot show on both
+sides."""
+
+import math
 
 import numpy as np
 from scipy import optimize
 
+from logicood.distributions import _SHAPE_BOUND, _gev_nll, _gev_pwm_start, _spread
 from logicood.errors import NumericalError
 
 
@@ -33,3 +38,24 @@ def reference_fit(stats, n_constraints, cfg):
     if not np.all(np.isfinite(result.x)):
         raise NumericalError(f"non-finite weights after {len(history) - 1} iterations")
     return tuple(history), result
+
+
+def reference_gev_fit(x):
+    """(location, scale, shape) of the GEV fit as it was before it drove
+    L-BFGS-B itself: the same start, then minimize with its defaults and
+    its forward-difference gradient."""
+    mu0, sigma0, xi0 = _gev_pwm_start(_spread(x))
+    if not (np.isfinite(mu0) and np.isfinite(sigma0) and sigma0 > 0):
+        mu0, sigma0, xi0 = x.mean(), x.std(), 0.0
+    xi0 = float(np.clip(xi0, -_SHAPE_BOUND + 1e-3, _SHAPE_BOUND - 1e-3))
+    result = optimize.minimize(
+        _gev_nll,
+        np.array([mu0, math.log(sigma0), xi0]),
+        args=(x,),
+        method="L-BFGS-B",
+        bounds=[(None, None), (None, None), (-_SHAPE_BOUND, _SHAPE_BOUND)],
+    )
+    if not np.all(np.isfinite(result.x)):
+        raise NumericalError(f"GEV fit failed: {result.message}")
+    mu, log_sigma, xi = result.x
+    return mu, math.exp(log_sigma), xi

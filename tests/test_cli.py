@@ -153,13 +153,16 @@ def test_invalid_fit_settings_exit_code(workdir, capsys, command, flag, value, m
         ("--baseline", "nan", "baseline_j0 must be finite, got nan"),
         ("--baseline", "inf", "baseline_j0 must be finite, got inf"),
         ("--baseline", "-inf", "baseline_j0 must be finite, got -inf"),
+        ("--baseline", "2", "baseline_j0 must be an AUROC in [0, 1], got 2.0"),
+        ("--baseline", "-0.5", "baseline_j0 must be an AUROC in [0, 1], got -0.5"),
         ("--delta-min", "nan", "delta_min must be finite and >= 0, got nan"),
         ("--delta-min", "inf", "delta_min must be finite and >= 0, got inf"),
     ],
 )
 def test_invalid_search_settings_exit_code(workdir, capsys, flag, value, message):
     # A NaN or infinite baseline would be written to search.json as its
-    # final AUROC, which is not JSON; a NaN margin would accept nothing.
+    # final AUROC, which is not JSON, and one outside [0, 1] as an AUROC no
+    # model can have; a NaN margin would accept nothing.
     data = _labeled_with_ids(workdir, ["a", "b", "c", "d"])
     out = workdir / "search.json"
     code = run(

@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import logicood
 from distributions_reference import frozen_law
+from fit_reference import reference_gev_fit
 from logicood.distributions import (
     ScoreDistribution,
     _law,
@@ -17,7 +23,7 @@ from logicood.distributions import (
     save_distribution,
     survival,
 )
-from logicood.errors import ValidationError
+from logicood.errors import NumericalError, ValidationError
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -37,6 +43,61 @@ def test_gev_recovery(rng):
     assert fit.params["location"] == pytest.approx(0.0, abs=0.05)
     assert fit.params["scale"] == pytest.approx(1.0, abs=0.05)
     assert fit.params["shape"] == pytest.approx(0.1, abs=0.05)
+
+
+def gev_sample(n, shape, seed, ties, low):
+    """n GEV(0, 1, shape) draws, rounded to multiples of `ties` when it is
+    set, and one more point `low` below the least."""
+    x = quantile(gev(0.0, 1.0, shape), np.random.default_rng(seed).random(n))
+    if ties:
+        x = np.round(x / ties) * ties
+    return np.append(x, x.min() - low)
+
+
+def with_gumbel_start(x):
+    """x sorted, its greatest point moved to where Hosking's c is 0, so that
+    the fit starts at shape 0.0 and the NLL takes its Gumbel branch; None
+    when that point would not stay the greatest."""
+    xs = np.sort(x)
+    n, j = xs.size, np.arange(xs.size)
+    rest = np.append(xs[:-1], 0.0)  # each b_r weighs the greatest point 1/n
+    b0 = rest.sum() / n
+    b1 = np.sum(j / (n - 1.0) * rest) / n
+    b2 = np.sum(j * (j - 1.0) / ((n - 1.0) * (n - 2.0)) * rest) / n
+    ratio = math.log(2) / math.log(3)  # c = (2 b1 - b0) / (3 b2 - b0) - ratio
+    xs[-1] = n * (ratio * (3 * b2 - b0) - (2 * b1 - b0)) / (1 - 2 * ratio)
+    return xs if xs[-1] >= xs[-2] else None
+
+
+@given(
+    n=st.integers(20, 300) | st.integers(300, 5000),
+    # Past +-0.5 the fit ends on the shape bound.
+    shape=st.floats(-1e-6, 1e-6) | st.floats(-1.5, 1.5) | st.sampled_from([0.0, 0.6, -0.6]),
+    location=st.floats(-100, 100),
+    scale=st.floats(1e-3, 100),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.sampled_from([None, 0.1, 0.5]),
+    # A point below the rest moves the start's support end towards the
+    # sample, where the NLL's arg <= 0 penalty begins.
+    low=st.sampled_from([0.0, 0.0, 0.5, 2.0]) | st.floats(0, 10),
+    gumbel=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_gev_fit_equals_minimize_bit_for_bit(n, shape, location, scale, seed, ties, low, gumbel):
+    x = gev_sample(n, -abs(shape) if gumbel else shape, seed, ties, low)
+    if gumbel:
+        x = with_gumbel_start(x)
+        assume(x is not None)
+    x = location + scale * x
+    assume(np.all(np.isfinite(x)) and x.min() < x.max())
+    try:
+        expected = reference_gev_fit(x)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            fit_distribution(x, "gev")
+        return
+    fitted = fit_distribution(x, "gev").params
+    assert list(fitted.values()) == [float(v) for v in expected]
 
 
 def test_uniform_fit_min_max():
@@ -233,6 +294,38 @@ def test_gev_shapes_at_the_gumbel_switch_and_the_bounds_equal_scipy_stats(shape)
     u = np.random.default_rng(7).random(2000)
     for location, scale in ((0.0, 1.0), (1.4, 0.55), (-3.0, 7.0)):
         _check_against_scipy(gev(location, scale, shape), [], u)
+
+
+# Runs in a fresh interpreter that loads scipy.special's compiled ufunc
+# module alone first; ndtri is not in it, so the quantiles take it from
+# the scipy.special package, which the probe checks is loaded only then.
+FALLBACK_PROBE = """
+import json, sys
+from logicood import compiled, distributions
+compiled.compiled("special", "_special_ufuncs")
+d = distributions.ScoreDistribution(sys.argv[1], json.loads(sys.argv[2]))
+assert not hasattr(compiled.special, "__wrapped__")  # a probe loads nothing
+assert "scipy.special" not in sys.modules
+values = distributions.quantile(d, json.loads(sys.argv[3]))
+assert "scipy.special" in sys.modules
+print(json.dumps([v.hex() for v in values.tolist()]))
+"""
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("normal", {"mean": 1.5, "std": 0.7}), ("lognormal", {"log_mean": -0.3, "log_std": 1.2})],
+)
+def test_quantiles_through_the_package_fallback_equal_scipy_stats(family, params):
+    q = [*SPECIAL_Q, *np.random.default_rng(3).random(50).tolist()]
+    out = subprocess.run(
+        [sys.executable, "-c", FALLBACK_PROBE, family, json.dumps(params), json.dumps(q)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(logicood.__file__).parent.parent)},
+    )
+    mine = np.array([float.fromhex(v) for v in json.loads(out.stdout)])
+    with np.errstate(all="ignore"):
+        _same(mine, frozen_law(ScoreDistribution(family, params)).ppf(q))
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
-"""One L-BFGS-B driver: an AST scan of the package fails if
-optimize.minimize is called outside distributions (the GEV and gennorm
-fits), or if scipy.optimize._lbfgsb is imported anywhere but
-mln.fit_stats. That every scipy import stays lazy is checked in
-test_family_table_path.py."""
+"""One L-BFGS-B driver: an AST scan of the package fails if a
+`minimize` is called or imported anywhere, or if a module other than
+compiled names scipy's compiled _lbfgsb or _special_ufuncs module, which
+compiled.compiled loads without its package. That every scipy import
+stays lazy is checked in test_family_table_path.py."""
 
 import ast
+import re
 from pathlib import Path
 
 import logicood
@@ -35,23 +36,29 @@ def _minimize_calls(tree):
     return found
 
 
-def _lbfgsb_imports(tree):
-    """(enclosing top-level definition or None, line) of each import of
-    scipy.optimize._lbfgsb, in any spelling."""
+COMPILED_MODULES = frozenset({"_lbfgsb", "_special_ufuncs"})
+
+
+def _compiled_module_names(tree):
+    """(enclosing top-level definition or None, line) of each import, name,
+    attribute or string that names scipy's _lbfgsb or _special_ufuncs
+    module."""
     found = []
     for top in tree.body:
         for node in ast.walk(top):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and (
-                    node.module == "scipy.optimize._lbfgsb"
-                    or (node.module == "scipy.optimize"
-                        and any(a.name == "_lbfgsb" for a in node.names))
-                )
-            ) or (
-                isinstance(node, ast.Import)
-                and any(a.name == "scipy.optimize._lbfgsb" for a in node.names)
-            ):
+            if isinstance(node, ast.ImportFrom):
+                words = [*(node.module or "").split("."), *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                words = [w for a in node.names for w in a.name.split(".")]
+            elif isinstance(node, ast.Attribute):
+                words = [node.attr]
+            elif isinstance(node, ast.Name):
+                words = [node.id]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words = re.findall(r"\w+", node.value)
+            else:
+                continue
+            if COMPILED_MODULES.intersection(words):
                 found.append((_owner(top), node.lineno))
     return found
 
@@ -64,12 +71,12 @@ def _scan(scanner):
     }
 
 
-def test_minimize_is_called_only_by_the_distribution_fits():
-    assert {module for module, _ in _scan(_minimize_calls)} == {"distributions"}
+def test_minimize_is_called_nowhere():
+    assert _scan(_minimize_calls) == set()
 
 
-def test_lbfgsb_routine_is_imported_only_by_fit_stats():
-    assert _scan(_lbfgsb_imports) == {("mln", "fit_stats")}
+def test_compiled_modules_are_named_only_by_the_loader():
+    assert {module for module, _ in _scan(_compiled_module_names)} == {"compiled"}
 
 
 def test_minimize_scan_flags_each_form():
@@ -86,7 +93,7 @@ def test_minimize_scan_flags_each_form():
     assert _minimize_calls(ast.parse(source)) == [(None, 1), ("f", 3), ("C", 6)]
 
 
-def test_lbfgsb_scan_flags_each_form():
+def test_compiled_module_scan_flags_each_form():
     source = (
         "import scipy.optimize._lbfgsb as lb\n"
         "def f():\n"
@@ -96,5 +103,10 @@ def test_lbfgsb_scan_flags_each_form():
         "        from scipy.optimize._lbfgsb import setulb\n"
         "def g():\n"
         "    from scipy.optimize import _lbfgsb_py, optimize\n"
+        "    return load('special', '_special_ufuncs'), special._special_ufuncs\n"
+        "def h():\n"
+        "    return _lbfgsb.setulb, 'scipy/special/_special_ufuncs.so', _minimize_lbfgsb\n"
     )
-    assert _lbfgsb_imports(ast.parse(source)) == [(None, 1), ("f", 3), ("C", 6)]
+    assert _compiled_module_names(ast.parse(source)) == [
+        (None, 1), ("f", 3), ("C", 6), ("g", 9), ("g", 9), ("h", 11), ("h", 11),
+    ]
