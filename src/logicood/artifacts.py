@@ -47,8 +47,8 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path):
-    """The parsed JSON of a file; malformed JSON raises ValidationError
-    naming the file and line."""
+    """The parsed JSON of a file; malformed JSON, or JSON nested too deeply
+    for the parser, raises ValidationError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -56,3 +56,5 @@ def read_json(path):
             raise ValidationError(
                 f"{path}:{exc.lineno}: invalid JSON: {exc.msg} (column {exc.colno})"
             ) from None
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nests too deeply") from None

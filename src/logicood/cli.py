@@ -186,10 +186,13 @@ def cmd_eval(args) -> int:
     data = schema_mod.load_dataset(args.data, sch)
     with open(args.scores, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a field over the csv module's limit
+            raise ValidationError(f"{args.scores}:{reader.line_num}: {exc}") from None
         if header != ["__id", "score"]:
             raise ValidationError(f"{args.scores}: expected header __id,score")
-        rows = list(reader)
     if len(rows) != len(data):
         raise ValidationError(
             f"{args.scores}: {len(rows)} scores for {len(data)} data rows"

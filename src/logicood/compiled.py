@@ -9,10 +9,12 @@ import numpy as np
 @functools.cache
 def compiled(package: str, name: str):
     """scipy.<package>.<name>, loaded alone (a second copy if scipy loads it too)."""
-    from importlib import machinery, util
+    from importlib import import_module, machinery, util
 
     scipy_dir = util.find_spec("scipy").submodule_search_locations[0]
     spec = machinery.PathFinder.find_spec(name, [f"{scipy_dir}/{package}"])
+    if spec is None:  # kept elsewhere by this scipy: through its package
+        return import_module(f"scipy.{package}.{name}")
     module = util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

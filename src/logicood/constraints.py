@@ -8,16 +8,17 @@ atoms, written e.g.
 The binary connectives, their binding order and their truth functions
 are the CONNECTIVES table; `not` binds tighter than any of them. Bare
 identifiers abbreviate binary atoms (`is_octagon` means
-`is_octagon=true`). Compilation resolves atoms to (concept index, value
-index) pairs against a schema and produces a vectorized evaluator over
-matrices of domain indices.
+`is_octagon=true`). Compilation resolves each atom once, to a (concept
+index, value index) pair; a compiled constraint evaluates matrices of
+domain indices and owns its truth table over its own concepts' worlds.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -266,6 +267,8 @@ class CompiledConstraint:
     ast: Node  # resolved: every Atom has an explicit value
     source: str
     schema: Schema
+    # Each distinct atom's (concept index, value index); it follows from ast and schema.
+    atoms: dict[Atom, tuple[int, int]] = field(compare=False, repr=False)
     constraint_id: int = 0
 
     def evaluate(self, z) -> int:
@@ -278,41 +281,31 @@ class CompiledConstraint:
 
     def _truth(self, rows: np.ndarray) -> np.ndarray:
         """0/1 truth values on rows already checked against self.schema."""
-        return _eval_batch(self.ast, self._atoms, rows).astype(np.int8)
-
-    @property
-    def concept_indices(self) -> frozenset[int]:
-        """Schema indices of the concepts this constraint mentions."""
-        return frozenset(ci for ci, _ in self._atoms.values())
+        return _eval(self.ast, self.atoms, lambda ci, vi: rows[:, ci] == vi).astype(np.int8)
 
     @cached_property
-    def _atoms(self):
-        return _resolve_atoms(self.ast, self.schema)
+    def concepts(self) -> tuple[int, ...]:
+        """Schema indices of the concepts this constraint mentions, ascending."""
+        return tuple(sorted({ci for ci, _ in self.atoms.values()}))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """0/1 truth values over the worlds of self.concepts alone, in
+        enumerate_space's order: the one evaluation of a constraint over worlds."""
+        domain_sizes = self.schema.domain_sizes  # a new tuple at each read
+        sizes = [domain_sizes[ci] for ci in self.concepts]
+        values = dict(zip(self.concepts, np.unravel_index(np.arange(math.prod(sizes)), sizes)))
+        return _eval(self.ast, self.atoms, lambda ci, vi: values[ci] == vi).astype(np.int8)
 
 
-def _resolve_atoms(node: Node, schema: Schema, table=None):
-    if table is None:
-        table = {}
+def _eval(node: Node, atoms, leaf) -> np.ndarray:
+    """The truth of a resolved tree; an atom's is leaf(*atoms[atom])."""
     if isinstance(node, Atom):
-        if node not in table:
-            ci = schema.concept_index(node.concept)
-            table[node] = (ci, schema.value_index(ci, node.value))
-    elif isinstance(node, Not):
-        _resolve_atoms(node.child, schema, table)
-    else:
-        _resolve_atoms(node.left, schema, table)
-        _resolve_atoms(node.right, schema, table)
-    return table
-
-
-def _eval_batch(node: Node, atoms, rows: np.ndarray) -> np.ndarray:
-    if isinstance(node, Atom):
-        ci, vi = atoms[node]
-        return rows[:, ci] == vi
+        return leaf(*atoms[node])
     if isinstance(node, Not):
-        return ~_eval_batch(node.child, atoms, rows)
+        return ~_eval(node.child, atoms, leaf)
     return _CONNECTIVE_OF[type(node)].truth(
-        _eval_batch(node.left, atoms, rows), _eval_batch(node.right, atoms, rows)
+        _eval(node.left, atoms, leaf), _eval(node.right, atoms, leaf)
     )
 
 
@@ -326,10 +319,11 @@ def compile_constraint(
         level = [child for node in level for child in _children(node)]
     if depth > MAX_DEPTH:
         raise CompileError(f"constraint is {depth} levels deep; at most {MAX_DEPTH} compile")
-    resolved = _resolve_ast(ast, schema)
+    atoms = {}
+    resolved = _resolve_ast(ast, schema, atoms)
     if source is None:
         source = pretty(resolved)
-    return CompiledConstraint(resolved, source, schema, constraint_id)
+    return CompiledConstraint(resolved, source, schema, atoms, constraint_id)
 
 
 def _children(node: Node) -> tuple:
@@ -338,7 +332,8 @@ def _children(node: Node) -> tuple:
     return (node.child,) if isinstance(node, Not) else (node.left, node.right)
 
 
-def _resolve_ast(node: Node, schema: Schema) -> Node:
+def _resolve_ast(node: Node, schema: Schema, atoms: dict) -> Node:
+    """node with bare atoms as =true; records each distinct atom in atoms."""
     if isinstance(node, Atom):
         ci = schema.concept_index(node.concept)
         if node.value is None:
@@ -347,13 +342,14 @@ def _resolve_ast(node: Node, schema: Schema) -> Node:
                     f"bare atom {node.concept!r} requires a binary concept; "
                     f"domain is {list(schema.domain(ci))}"
                 )
-            return Atom(node.concept, "true")
-        schema.value_index(ci, node.value)  # validates
+            node = Atom(node.concept, "true")
+        if node not in atoms:
+            atoms[node] = (ci, schema.value_index(ci, node.value))  # validates
         return node
     if isinstance(node, Not):
-        return Not(_resolve_ast(node.child, schema))
+        return Not(_resolve_ast(node.child, schema, atoms))
     cls = type(node)
-    return cls(_resolve_ast(node.left, schema), _resolve_ast(node.right, schema))
+    return cls(_resolve_ast(node.left, schema, atoms), _resolve_ast(node.right, schema, atoms))
 
 
 def compile_source(source: str, schema: Schema, constraint_id: int = 0) -> CompiledConstraint:

@@ -55,7 +55,7 @@ class MlnModel:
     def mentioned_concepts(self) -> tuple[int, ...]:
         """Schema indices of the concepts the constraints mention, ascending:
         a row's values on them, its world, decide every constraint."""
-        return tuple(sorted({ci for c in self.constraints for ci in c.concept_indices}))
+        return tuple(sorted({ci for c in self.constraints for ci in c.concepts}))
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,9 @@ def satisfaction_matrix(model: MlnModel, rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WorldTable:
-    """The worlds of the concepts a knowledge base mentions, enumerated once:
-    log Z, a fit's data counts and the search's validation AUROC all read
-    this one table."""
+    """The worlds of the concepts a knowledge base mentions, joined once from
+    its constraints' own tables: log Z, a fit's data counts and the search's
+    validation AUROC all read this one table."""
 
     concepts: tuple[int, ...]  # mentioned schema indices, ascending
     sizes: tuple[int, ...]  # their domain sizes
@@ -204,11 +204,12 @@ def _log_free(schema: Schema, concepts) -> float:
 
 
 def world_table(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> WorldTable:
-    """Enumerate the worlds of the concepts the model mentions, under the cap."""
+    """The worlds of the concepts the model mentions, under the cap, checked
+    before any table is read: the join of its constraints' own tables."""
     concepts = model.mentioned_concepts
-    sizes = tuple(model.schema.domain_sizes[ci] for ci in concepts)
-    phi = satisfaction_matrix(model, enumerate_space(model.schema, space_cap, concepts))
-    return WorldTable(concepts, sizes, phi, _log_free(model.schema, concepts))
+    _capped_size([model.schema.domain_sizes[ci] for ci in concepts], space_cap)
+    columns = [(c.concepts, c.table) for c in model.constraints]
+    return joined_table(model.schema, concepts, columns, space_cap)
 
 
 def joined_table(
@@ -218,9 +219,8 @@ def joined_table(
     the cap, whose columns are the given (concepts, values) pairs: a
     constraint's ascending concepts, among the given ones, and its 0/1
     values over their worlds in enumerate_space's order, broadcast onto
-    the table's worlds. With the concepts a model mentions and each
-    constraint's own column, this is world_table(model), the same phi, and
-    it evaluates nothing."""
+    the table's worlds. It evaluates nothing. world_table(model) is this
+    join over the concepts the model mentions and its constraints' tables."""
     concepts = tuple(concepts)
     domain_sizes = schema.domain_sizes
     sizes = tuple(domain_sizes[ci] for ci in concepts)

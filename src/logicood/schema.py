@@ -184,9 +184,11 @@ def load_dataset(path, schema: Schema) -> Dataset:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty dataset file") from None
-        rows = list(reader)
+        except csv.Error as exc:  # e.g. a field over the csv module's limit
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     return _dataset_from_rows(header, rows, schema, str(path))
 
 

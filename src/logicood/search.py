@@ -27,7 +27,6 @@ from .mln import (
     MlnModel,
     SufficientStats,
     WorldCounts,
-    enumerate_space,
     fit_stats,
     joined_table,
     scores_from_columns,
@@ -183,23 +182,18 @@ class SearchResult:
 
 
 def _own_columns(schema: Schema, trees, space_cap: int):
-    """Each tree's (concepts, values): the schema indices it mentions,
-    ascending, and its 0/1 values over their worlds, which are enumerated
-    once per set of concepts. Each tree is compiled here, so a tree that
-    does not compile raises before any fit; the compiled constraint is not
-    kept. A set over the cap gets values None, which no fit reads: every
-    fit with the tree is over the cap too, and raises first."""
-    worlds: dict[tuple[int, ...], np.ndarray | None] = {}
-    columns = []
+    """Each tree's (concepts, table): the schema indices it mentions,
+    ascending, and its compiled constraint's 0/1 table over their worlds.
+    Each tree is compiled here, so a tree that does not compile raises
+    before any fit; the compiled constraint is not kept. A tree over the
+    cap gets table None and its table is never built: every fit with the
+    tree is over the cap too, and raises before reading it."""
+    columns, domain_sizes = [], schema.domain_sizes
     for tree in trees:
-        constraint = compile_constraint(tree, schema)
-        concepts = tuple(sorted(constraint.concept_indices))
-        if concepts not in worlds:
-            size = math.prod(schema.domain_sizes[ci] for ci in concepts)
-            under = size <= space_cap
-            worlds[concepts] = enumerate_space(schema, space_cap, concepts) if under else None
-        own = worlds[concepts]
-        columns.append((concepts, None if own is None else constraint._truth(own)))
+        constraint = compile_constraint(tree, schema, source="")  # not kept, so not printed
+        concepts = constraint.concepts
+        under = math.prod(domain_sizes[ci] for ci in concepts) <= space_cap
+        columns.append((concepts, constraint.table if under else None))
     return columns
 
 
@@ -209,13 +203,14 @@ def greedy_search(
     """One pass over the pool, accepting candidates that lift validation
     AUROC by more than delta_min; exactly len(pool) fit/evaluate rounds.
 
-    Each seed and candidate is evaluated once, over the worlds of its own
-    concepts, and the training and validation rows are counted once per
-    distinct world of the concepts any of them mentions. A fit joins its
-    members' columns onto its worlds and sums the counts onto them, so its
-    statistics and its validation AUROC are those of its own world table,
-    bit for bit, with no world enumerated, constraint compiled or evaluated,
-    or row coded. Only the accepted set is compiled again, for the model."""
+    Each seed and candidate is compiled once, before the pass, and only
+    its own table is kept; the training and validation rows are counted
+    once per distinct world of the concepts any of them mentions. A fit
+    joins its members' tables onto its worlds, as world_table does, and
+    sums the counts onto them, so its statistics and its validation AUROC
+    are those of its world table, bit for bit, with no world enumerated,
+    constraint compiled or evaluated, or row coded. Only the accepted set
+    is compiled again, for the model."""
     if len(pool) == 0:
         raise ValidationError("candidate pool is empty")
     if val.schema != train.schema:

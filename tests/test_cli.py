@@ -684,6 +684,42 @@ def test_compile_bad_schema_exit_code(workdir, capsys):
     assert "Traceback" not in err
 
 
+def test_compile_deeply_nested_schema_exit_code(workdir, capsys):
+    schema = workdir / "schema.json"
+    schema.write_text("[" * 200_000, encoding="utf-8")
+    code = run("compile", "--schema", schema, "--constraints", workdir / "kb.txt")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {schema}: JSON nests too deeply\n"
+
+
+def test_fit_oversized_csv_field_exit_code(workdir, capsys):
+    train = workdir / "train.csv"
+    train.write_text("color,is_octagon\nred,true\n" + "x" * 200_000 + ",true\n", encoding="utf-8")
+    code = run(
+        "fit", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--train", train, "--out", workdir / "w.json",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {train}:3: field larger than field limit (131072)\n"
+    assert not (workdir / "w.json").exists()
+
+
+def test_eval_oversized_csv_field_exit_code(workdir, capsys):
+    (workdir / "labeled.csv").write_text(
+        "__id,color,is_octagon,__is_ood\na,red,true,0\nb,blue,false,1\n",
+        encoding="utf-8",
+    )
+    scores = workdir / "scores.csv"
+    scores.write_text("__id,score\na,1.0\nb," + "9" * 200_000 + "\n", encoding="utf-8")
+    code = run(
+        "eval", "--schema", workdir / "schema.json", "--data", workdir / "labeled.csv",
+        "--scores", scores, "--out", workdir / "r.json",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {scores}:3: field larger than field limit (131072)\n"
+    assert not (workdir / "r.json").exists()
+
+
 def _one_concept_kb(tmp_path, line):
     schema, kb = tmp_path / "schema.json", tmp_path / "kb.txt"
     schema.write_text('{"c0": "binary"}', encoding="utf-8")

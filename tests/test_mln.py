@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from importlib import machinery
 from unittest import mock
 
 import numpy as np
@@ -10,8 +12,9 @@ from scipy.special import logsumexp
 
 from conftest import interpret, random_ast, random_schema, random_vectors
 from fit_reference import reference_fit
-from logicood import mln
+from logicood import compiled, mln
 from logicood.constraints import Not, compile_constraint, compile_source
+from logicood.distributions import fit_distribution
 from logicood.errors import SpaceCapError, ValidationError
 from logicood.mln import (
     FitConfig,
@@ -309,7 +312,7 @@ def test_mentioned_inference_matches_full_enumeration(rng):
         got_nll, got_grad = nll_and_gradient(m, data)
         assert got_nll == pytest.approx(nll, rel=1e-12)
         np.testing.assert_allclose(got_grad, grad, rtol=1e-12, atol=1e-14)
-        mentioned = {ci for c in m.constraints for ci in c.concept_indices}
+        mentioned = {ci for c in m.constraints for ci in c.concepts}
         unmentioned += len(mentioned) < len(m.schema)
     assert unmentioned >= 10  # the oracle covered the factored path
 
@@ -330,7 +333,7 @@ def test_world_table_codes_match_ravel_multi_index(seed, empty_kb):
     m = partial_kb_model(r)
     if empty_kb:
         m = MlnModel(m.schema, (), np.zeros(0))
-    mentioned = sorted({ci for c in m.constraints for ci in c.concept_indices})
+    mentioned = sorted({ci for c in m.constraints for ci in c.concepts})
     sizes = [m.schema.domain_sizes[ci] for ci in mentioned]
     table = mln.world_table(m)
     assert table.concepts == tuple(mentioned) and table.sizes == tuple(sizes)
@@ -353,7 +356,7 @@ def test_joined_table_is_the_models_world_table(seed):
     m = partial_kb_model(r)
     columns = []
     for c in m.constraints:
-        own = tuple(sorted(c.concept_indices))
+        own = tuple(sorted(c.concepts))
         columns.append((own, c.evaluate_batch(enumerate_space(m.schema, concepts=own))))
     expected = mln.world_table(m)
     got = mln.joined_table(m.schema, m.mentioned_concepts, columns)
@@ -398,7 +401,7 @@ def test_fit_result_worlds_are_the_enumerated_satisfaction_matrix(rng):
         m = partial_kb_model(rng)
         data = dataset(m.schema, random_vectors(rng, m.schema, 30))
         worlds = fit_weights(m, data, cfg).worlds
-        concepts = sorted({ci for c in m.constraints for ci in c.concept_indices})
+        concepts = sorted({ci for c in m.constraints for ci in c.concepts})
         expected = satisfaction_matrix(m, enumerate_space(m.schema, cfg.space_cap, concepts))
         assert np.array_equal(worlds.phi, expected)
         free = [s for ci, s in enumerate(m.schema.domain_sizes) if ci not in concepts]
@@ -455,6 +458,36 @@ def test_fit_two_independent_rules():
     result = fit_weights(m, dataset(BIN2, rows), FitConfig(max_epochs=300))
     assert result.model.weights[0] == pytest.approx(math.log(9), abs=1e-2)
     assert result.model.weights[1] == pytest.approx(0.0, abs=1e-2)
+
+
+def test_compiled_modules_load_through_their_packages_where_scipy_moves_them(monkeypatch, rng):
+    """Where scipy keeps a compiled module outside its package directory,
+    PathFinder finds no spec for it there; compiled imports it through its
+    package instead, and the weight and GEV fits are bit-equal."""
+    m = model(BIN2, ["p -> q", "p xor q"], [0.0, 0.0])
+    data = dataset(BIN2, random_vectors(rng, BIN2, 200))
+    scores = rng.gumbel(size=500)
+
+    def fits():
+        weights = fit_weights(m, data).model.weights
+        return weights.tobytes(), fit_distribution(scores, "gev").params
+
+    expected = fits()
+    packages = {"_lbfgsb": "optimize", "_special_ufuncs": "special"}
+    find_spec = machinery.PathFinder.find_spec
+    monkeypatch.setattr(
+        machinery.PathFinder,
+        "find_spec",
+        staticmethod(lambda name, *rest: None if name in packages else find_spec(name, *rest)),
+    )
+    compiled.compiled.cache_clear()
+    try:
+        assert fits() == expected
+        for name, package in packages.items():
+            assert compiled.compiled(package, name) is sys.modules[f"scipy.{package}.{name}"]
+    finally:
+        monkeypatch.undo()
+        compiled.compiled.cache_clear()
 
 
 def test_fit_nll_monotone_and_deterministic(rng):

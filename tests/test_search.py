@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,13 @@ import candidates_reference
 from fit_reference import reference_fit
 from conftest import random_ast, random_schema, random_vectors
 from logicood import mln, search
-from logicood.constraints import compile_constraint, compile_source, parse, pretty
+from logicood.constraints import (
+    CompiledConstraint,
+    compile_constraint,
+    compile_source,
+    parse,
+    pretty,
+)
 from logicood.errors import CompileError, NumericalError, SpaceCapError, ValidationError
 from logicood.metrics import auroc
 from logicood.mln import (
@@ -484,23 +491,28 @@ def test_fit_over_the_cap_raises_space_cap_error():
 
 
 def test_greedy_evaluates_once_and_codes_only_distinct_worlds(monkeypatch):
-    """The search enumerates the worlds of each set of concepts a
-    constraint mentions once, before any fit, and codes only the distinct
+    """The search reads each tree's own table, computed once per tree
+    before any fit, enumerates no worlds, and codes only the distinct
     worlds of the rows, at most 16 here, to each fit's worlds: never the
     300 + 300 rows."""
     train = planted_benchmark(seed=7, n=300)
     val = planted_benchmark(seed=8, n=300)
     pool = generate_candidates(BIN4, GeneratorConfig(max_depth=1))
-    enumerated, coded = [], []
-    enumerate_own, codes = search.enumerate_space, WorldTable.codes
+    tabled, enumerated, coded = [], [], []
+    table = CompiledConstraint.__dict__["table"].func
+    enumerate_own, codes = mln.enumerate_space, WorldTable.codes
+    counted = functools.cached_property(lambda c: tabled.append(c.ast) or table(c))
+    counted.__set_name__(CompiledConstraint, "table")
+    monkeypatch.setattr(CompiledConstraint, "table", counted)
     monkeypatch.setattr(
-        search, "enumerate_space", lambda *a: enumerated.append(a) or enumerate_own(*a)
+        mln, "enumerate_space", lambda *a: enumerated.append(a) or enumerate_own(*a)
     )
     monkeypatch.setattr(WorldTable, "codes", lambda t, c: coded.append(c.shape[1]) or codes(t, c))
     result = greedy_search(train, val, pool, SearchConfig())
     monkeypatch.undo()
     assert result.to_json_dict() == naive_search(train, val, pool, SearchConfig()).to_json_dict()
-    assert len(enumerated) == len(BIN4)  # c_i=true and not c_i=true share their worlds
+    assert tabled == list(pool)  # each tree's table once, in pool order
+    assert enumerated == []
     assert len(coded) == 1 + len(pool)  # the seed fit and each candidate's
     rows = np.concatenate([train.vectors[~train.is_ood], val.vectors])
     assert set(coded) == {len(np.unique(rows, axis=0))}

@@ -3,8 +3,10 @@ worlds anywhere but mln.WorldTable.codes, if rows are grouped by world
 anywhere but mln.WorldCounts.of, if greedy_search evaluates a constraint
 itself instead of reading its trees' own columns, if its candidate loop
 builds a world table or a model, codes anything or compiles or replaces a
-constraint, or if candidate generation compiles, evaluates or enumerates
-anything."""
+constraint, if world_table or the search's own columns evaluate a
+constraint or enumerate worlds instead of reading each compiled
+constraint's own table, or if candidate generation compiles, evaluates
+or enumerates anything."""
 
 import ast
 from pathlib import Path
@@ -207,9 +209,26 @@ def test_greedy_search_evaluates_no_constraint():
     tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
     greedy = _function(tree, "greedy_search")
     assert _evaluations(greedy) == []
-    # The scan sees the world table's own evaluation, so it is not blind.
+    # The scan sees the satisfaction matrix's evaluation, so it is not blind.
     mln_tree = ast.parse((PACKAGE / "mln.py").read_text(encoding="utf-8"))
-    assert _evaluations(_function(mln_tree, "world_table"))
+    assert _evaluations(_function(mln_tree, "satisfaction_matrix"))
+
+
+def test_world_tables_are_joins_of_own_tables():
+    """world_table and greedy search's own columns read each compiled
+    constraint's cached table, CompiledConstraint.table, the one place a
+    constraint is evaluated over worlds: neither evaluates a constraint
+    nor enumerates worlds."""
+    building = EVALUATIONS | {"enumerate_space"}
+    mln_tree = ast.parse((PACKAGE / "mln.py").read_text(encoding="utf-8"))
+    search_tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    assert _calls(_function(mln_tree, "world_table"), building) == []
+    assert _calls(_function(search_tree, "_own_columns"), building) == []
+    # The scan sees synthesis enumerate the full space and evaluate over
+    # it, so it is not blind to either name.
+    synth_tree = ast.parse((PACKAGE / "synth.py").read_text(encoding="utf-8"))
+    found = {name for name, _ in _calls(synth_tree, building)}
+    assert {"enumerate_space", "satisfaction_matrix"} <= found
 
 
 def test_greedy_candidate_loop_builds_and_codes_no_table():
