@@ -1,4 +1,4 @@
-"""Artifact file I/O: the one atomic writer and the one JSON reader.
+"""Artifact file I/O: the one atomic writer and the one text, CSV and JSON readers.
 
 Every file the package writes goes through atomic_open: the text goes to a
 temporary file in the target's directory, which replaces the target only
@@ -9,6 +9,7 @@ stays in its home module (save_schema, save_weights, ...).
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from contextlib import contextmanager
@@ -46,10 +47,33 @@ def write_json(path, payload) -> None:
     write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """A UTF-8 text handle on path; bytes not UTF-8 raise ValidationError naming their line."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:  # LF, CRLF and CR end a line, as in every reader
+                bad = next(n for n, b in enumerate(raw.read().splitlines(), 1)
+                           if b.decode(errors="replace").encode() != b)
+            raise ValidationError(f"{path}:{bad}: not UTF-8 text") from None
+
+
+def read_csv(path) -> list[list[str]]:
+    """The rows of a CSV file; a malformed row raises ValidationError."""
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            return list(reader)
+        except csv.Error as exc:  # e.g. a field over the csv module's limit
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_json(path):
-    """The parsed JSON of a file; malformed JSON, or JSON nested too deeply
-    for the parser, raises ValidationError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    """The parsed JSON of a file; text that is not UTF-8, malformed JSON, or
+    JSON nested too deeply for the parser raises ValidationError."""
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -184,15 +184,9 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     sch = schema_mod.load_schema(args.schema)
     data = schema_mod.load_dataset(args.data, sch)
-    with open(args.scores, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            rows = list(reader)
-        except csv.Error as exc:  # e.g. a field over the csv module's limit
-            raise ValidationError(f"{args.scores}:{reader.line_num}: {exc}") from None
-        if header != ["__id", "score"]:
-            raise ValidationError(f"{args.scores}: expected header __id,score")
+    header, *rows = artifacts.read_csv(args.scores) or [None]
+    if header != ["__id", "score"]:
+        raise ValidationError(f"{args.scores}: expected header __id,score")
     if len(rows) != len(data):
         raise ValidationError(
             f"{args.scores}: {len(rows)} scores for {len(data)} data rows"

@@ -23,7 +23,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .artifacts import write_text
+from .artifacts import open_text, write_text
 from .errors import CompileError, ParseError
 from .schema import Schema
 
@@ -292,8 +292,7 @@ class CompiledConstraint:
     def table(self) -> np.ndarray:
         """0/1 truth values over the worlds of self.concepts alone, in
         enumerate_space's order: the one evaluation of a constraint over worlds."""
-        domain_sizes = self.schema.domain_sizes  # a new tuple at each read
-        sizes = [domain_sizes[ci] for ci in self.concepts]
+        sizes = [self.schema.domain_sizes[ci] for ci in self.concepts]
         values = dict(zip(self.concepts, np.unravel_index(np.arange(math.prod(sizes)), sizes)))
         return _eval(self.ast, self.atoms, lambda ci, vi: values[ci] == vi).astype(np.int8)
 
@@ -359,7 +358,7 @@ def compile_source(source: str, schema: Schema, constraint_id: int = 0) -> Compi
 def load_constraints(path, schema: Schema) -> list[CompiledConstraint]:
     """Read a knowledge base: one constraint per non-empty non-comment line."""
     compiled = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

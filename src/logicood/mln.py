@@ -157,9 +157,9 @@ def _capped_size(sizes, space_cap: int) -> int:
 def enumerate_space(
     schema: Schema, space_cap: int = DEFAULT_SPACE_CAP, concepts=None
 ) -> np.ndarray:
-    """All assignments to the given concepts (schema indices; default all)
-    as full-width index rows, lexicographic in the given order, with every
-    other column at index 0. The cap applies to the number of rows."""
+    """All assignments to the given concepts (schema indices; default all) as
+    full-width index rows, lexicographic in the given order, every other column
+    0, at most space_cap rows. The tests' reference: no package path calls it."""
     concepts = range(len(schema)) if concepts is None else concepts
     sizes = [schema.domain_sizes[ci] for ci in concepts]
     size = _capped_size(sizes, space_cap)
@@ -198,18 +198,11 @@ class WorldTable:
         return np.ravel_multi_index(tuple(columns[ci] for ci in self.concepts), self.sizes)
 
 
-def _log_free(schema: Schema, concepts) -> float:
-    """log of the number of assignments to the concepts outside the given ones."""
-    return math.log(math.prod(s for ci, s in enumerate(schema.domain_sizes) if ci not in concepts))
-
-
 def world_table(model: MlnModel, space_cap: int = DEFAULT_SPACE_CAP) -> WorldTable:
     """The worlds of the concepts the model mentions, under the cap, checked
     before any table is read: the join of its constraints' own tables."""
-    concepts = model.mentioned_concepts
-    _capped_size([model.schema.domain_sizes[ci] for ci in concepts], space_cap)
-    columns = [(c.concepts, c.table) for c in model.constraints]
-    return joined_table(model.schema, concepts, columns, space_cap)
+    columns = ((c.concepts, c.table) for c in model.constraints)
+    return joined_table(model.schema, model.mentioned_concepts, columns, space_cap)
 
 
 def joined_table(
@@ -222,9 +215,10 @@ def joined_table(
     the table's worlds. It evaluates nothing. world_table(model) is this
     join over the concepts the model mentions and its constraints' tables."""
     concepts = tuple(concepts)
-    domain_sizes = schema.domain_sizes
-    sizes = tuple(domain_sizes[ci] for ci in concepts)
-    phi = np.empty((_capped_size(sizes, space_cap), len(columns)))
+    sizes = tuple(schema.domain_sizes[ci] for ci in concepts)
+    n = _capped_size(sizes, space_cap)
+    columns = list(columns)  # after the cap check: a generator builds its tables under it
+    phi = np.empty((n, len(columns)))
     grid = phi.reshape(*sizes, len(columns))
     for i, (own, values) in enumerate(columns):
         if not set(own).issubset(concepts):
@@ -232,7 +226,8 @@ def joined_table(
         grid[..., i] = values.reshape(
             [size if ci in own else 1 for ci, size in zip(concepts, sizes)]
         )
-    return WorldTable(concepts, sizes, phi, _log_free(schema, concepts))
+    free = math.prod(s for ci, s in enumerate(schema.domain_sizes) if ci not in concepts)
+    return WorldTable(concepts, sizes, phi, math.log(free))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .artifacts import atomic_open, read_json, write_json
+from .artifacts import atomic_open, read_csv, read_json, write_json
 from .errors import ValidationError
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -51,11 +52,11 @@ class Schema:
                 raise ValidationError(f"concept {name!r} has duplicate domain values")
             self._index[name] = len(self._index)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.concepts)
 
-    @property
+    @cached_property
     def domain_sizes(self) -> tuple[int, ...]:
         return tuple(len(domain) for _, domain in self.concepts)
 
@@ -180,28 +181,18 @@ def load_dataset(path, schema: Schema) -> Dataset:
     Header must contain every concept name; reserved columns __id,
     __detector_score, __is_ood are optional.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            rows = list(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty dataset file") from None
-        except csv.Error as exc:  # e.g. a field over the csv module's limit
-            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-    return _dataset_from_rows(header, rows, schema, str(path))
-
-
-def _dataset_from_rows(header, rows, schema: Schema, origin: str) -> Dataset:
+    header, *rows = read_csv(path) or [None]
+    if header is None:
+        raise ValidationError(f"{path}: empty dataset file")
     reserved = {COL_ID, COL_DETECTOR, COL_OOD}
     for col in header:
         if col not in reserved and col not in schema.names:
-            raise ValidationError(f"{origin}: unknown column {col!r}")
+            raise ValidationError(f"{path}: unknown column {col!r}")
     if len(set(header)) != len(header):
-        raise ValidationError(f"{origin}: duplicate column in header")
+        raise ValidationError(f"{path}: duplicate column in header")
     missing = [name for name in schema.names if name not in header]
     if missing:
-        raise ValidationError(f"{origin}: missing concept columns {missing}")
+        raise ValidationError(f"{path}: missing concept columns {missing}")
 
     col_of = {name: header.index(name) for name in header}
     concept_cols = [col_of[name] for name in schema.names]
@@ -223,7 +214,7 @@ def _dataset_from_rows(header, rows, schema: Schema, origin: str) -> Dataset:
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise ValidationError(
-                f"{origin}: row {r + 2} has {len(row)} cells, expected {len(header)}"
+                f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}"
             )
         for c, (col, lookup) in enumerate(zip(concept_cols, lookups)):
             cell = row[col]
@@ -231,7 +222,7 @@ def _dataset_from_rows(header, rows, schema: Schema, origin: str) -> Dataset:
                 vectors[r, c] = lookup[cell]
             except KeyError:
                 raise ValidationError(
-                    f"{origin}: row {r + 2}, column {schema.names[c]!r}: "
+                    f"{path}: row {r + 2}, column {schema.names[c]!r}: "
                     f"value {cell!r} not in domain"
                 ) from None
         ids.append(row[id_col] if id_col is not None else str(r))
@@ -240,13 +231,13 @@ def _dataset_from_rows(header, rows, schema: Schema, origin: str) -> Dataset:
                 det[r] = float(row[det_col])
             except ValueError:
                 raise ValidationError(
-                    f"{origin}: row {r + 2}: non-numeric detector score {row[det_col]!r}"
+                    f"{path}: row {r + 2}: non-numeric detector score {row[det_col]!r}"
                 ) from None
         if ood is not None:
             cell = row[ood_col]
             if cell not in ("0", "1"):
                 raise ValidationError(
-                    f"{origin}: row {r + 2}: {COL_OOD} must be 0 or 1, got {cell!r}"
+                    f"{path}: row {r + 2}: {COL_OOD} must be 0 or 1, got {cell!r}"
                 )
             ood[r] = cell == "1"
 

@@ -188,11 +188,11 @@ def _own_columns(schema: Schema, trees, space_cap: int):
     before any fit; the compiled constraint is not kept. A tree over the
     cap gets table None and its table is never built: every fit with the
     tree is over the cap too, and raises before reading it."""
-    columns, domain_sizes = [], schema.domain_sizes
+    columns = []
     for tree in trees:
         constraint = compile_constraint(tree, schema, source="")  # not kept, so not printed
         concepts = constraint.concepts
-        under = math.prod(domain_sizes[ci] for ci in concepts) <= space_cap
+        under = math.prod(schema.domain_sizes[ci] for ci in concepts) <= space_cap
         columns.append((concepts, constraint.table if under else None))
     return columns
 

@@ -1,9 +1,11 @@
 """Seeded synthetic benchmarks with known ground truth.
 
 ID semantic vectors are sampled exactly from a specified constraint model
-via enumeration and inverse-CDF lookup; OOD vectors come either from the
-uniform distribution over the space or from an alternate model. Detector
-scores are drawn from per-class parametric laws.
+by inverse-CDF lookup over the model's world table: the join of its
+constraints' own tables over every concept, so no world is built as a row
+and no constraint is evaluated here. OOD vectors come either from the
+uniform distribution over the space, the empty model's, or from an
+alternate model. Detector scores are drawn from per-class parametric laws.
 
 Randomness: numpy's PCG64 via `default_rng`. A benchmark seed is expanded
 with `SeedSequence(seed).spawn(3)` into independent streams for ID
@@ -21,7 +23,7 @@ from . import distributions
 from .artifacts import read_json
 from .constraints import compile_source
 from .errors import ValidationError
-from .mln import DEFAULT_SPACE_CAP, MlnModel, enumerate_space, satisfaction_matrix
+from .mln import DEFAULT_SPACE_CAP, MlnModel, joined_table
 from .schema import Dataset, Schema, schema_from_dict
 
 OOD_MODES = ("uniform_over_Z", "alternate_mln")
@@ -67,6 +69,9 @@ class SynthSpec:
             raise ValidationError(f"ood_mode: unknown mode {self.ood_mode!r}")
         if self.ood_mode == "alternate_mln" and self.alternate_model is None:
             raise ValidationError("ood_mode: alternate_mln requires alternate_model")
+        for key, model in (("model", self.model), ("alternate_model", self.alternate_model)):
+            if model is not None and model.schema != self.schema:
+                raise ValidationError(f"{key}: compiled against another schema than the spec's")
 
 
 def _streams(spec: SynthSpec):
@@ -78,44 +83,35 @@ def _streams(spec: SynthSpec):
     )
 
 
-def _world_probabilities(model: MlnModel, space_cap: int):
-    worlds = enumerate_space(model.schema, space_cap)
-    energies = satisfaction_matrix(model, worlds) @ model.weights
-    energies -= energies.max()
-    probs = np.exp(energies)
-    probs /= probs.sum()
-    return worlds, probs
-
-
-def _sample_worlds(worlds, probs, n, rng, prefix, is_ood):
-    # Inverse CDF over cumulative sums in enumeration order.
-    cumulative = np.cumsum(probs)
+def _sample(model: MlnModel, space_cap: int, n, rng, prefix, is_ood) -> Dataset:
+    """n worlds of every concept drawn i.i.d. from the model, by inverse CDF
+    over the cumulative sums of its world probabilities in enumeration order."""
+    schema = model.schema
+    columns = ((c.concepts, c.table) for c in model.constraints)
+    table = joined_table(schema, range(len(schema)), columns, space_cap)
+    energies = table.phi @ model.weights
+    probs = np.exp(energies - energies.max())
+    cumulative = np.cumsum(probs / probs.sum())
     cumulative[-1] = 1.0
     picks = np.searchsorted(cumulative, rng.random(n), side="right")
-    schema_rows = worlds[picks]
-    ids = tuple(f"{prefix}{i}" for i in range(n))
-    flags = np.full(n, is_ood)
-    return schema_rows, ids, flags
+    # The one world of no concepts is the empty row, which unravel_index cannot give.
+    rows = np.column_stack(np.unravel_index(picks, table.sizes)) if schema else np.zeros((n, 0))
+    return Dataset(schema, rows, tuple(f"{prefix}{i}" for i in range(n)), is_ood=np.full(n, is_ood))
 
 
 def sample_id(spec: SynthSpec) -> Dataset:
     """n_id vectors drawn i.i.d. from the ground-truth model."""
     rng, _, _ = _streams(spec)
-    worlds, probs = _world_probabilities(spec.model, spec.space_cap)
-    rows, ids, flags = _sample_worlds(worlds, probs, spec.n_id, rng, "id_", False)
-    return Dataset(spec.schema, rows, ids, is_ood=flags)
+    return _sample(spec.model, spec.space_cap, spec.n_id, rng, "id_", False)
 
 
 def sample_ood(spec: SynthSpec) -> Dataset:
-    """n_ood vectors from the contrast distribution, flagged __is_ood=1."""
+    """n_ood vectors from the contrast distribution, flagged __is_ood=1: the
+    alternate model's, or the uniform one of the empty model."""
     _, rng, _ = _streams(spec)
-    if spec.ood_mode == "uniform_over_Z":
-        worlds = enumerate_space(spec.schema, spec.space_cap)
-        probs = np.full(worlds.shape[0], 1.0 / worlds.shape[0])
-    else:
-        worlds, probs = _world_probabilities(spec.alternate_model, spec.space_cap)
-    rows, ids, flags = _sample_worlds(worlds, probs, spec.n_ood, rng, "ood_", True)
-    return Dataset(spec.schema, rows, ids, is_ood=flags)
+    uniform = MlnModel(spec.schema, (), np.zeros(0))
+    model = uniform if spec.ood_mode == "uniform_over_Z" else spec.alternate_model
+    return _sample(model, spec.space_cap, spec.n_ood, rng, "ood_", True)
 
 
 def attach_detector_scores(data: Dataset, spec: SynthSpec) -> Dataset:

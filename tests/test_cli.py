@@ -862,3 +862,31 @@ def test_fuse_dist_out_reads_back_for_every_family(workdir, flag):
     ) == 0
     family = "generalized_normal" if flag == "gennorm" else flag
     assert load_distribution(dist) == fit_distribution(scores, family)
+
+
+@pytest.mark.parametrize(
+    "name, text, line",
+    [
+        ("schema.json", b'{\n  "c0": "bin\xffary"\n}\n', 2),
+        ("kb.txt", b"c0\n# caf\xe9\n", 2),
+        ("kb.txt", b"c0\r\r# caf\xe9\r", 3),
+        ("w.json", b'[\n  {"constraint": "c0", "weight": 1.0, "note": "\xff"}\n]\n', 2),
+        ("data.csv", b"c0\r\ntrue\r\nfal\xc3se\r\n", 3),
+        ("scores.csv", b"__id,score\n0,1.0\n1,\xff\n", 3),
+    ],
+    ids=["schema", "kb", "kb-cr", "weights", "data", "scores"],
+)
+def test_input_that_is_not_utf8_exit_code(tmp_path, capsys, name, text, line):
+    schema, kb, weights = _one_concept_kb(tmp_path, "c0")
+    (tmp_path / "data.csv").write_text("c0,__is_ood\ntrue,0\nfalse,1\n", encoding="utf-8")
+    (tmp_path / "scores.csv").write_text("__id,score\n0,1.0\n1,2.0\n", encoding="utf-8")
+    (tmp_path / name).write_bytes(text)
+    if name == "scores.csv":
+        code = run("eval", "--schema", schema, "--data", tmp_path / "data.csv",
+                   "--scores", tmp_path / name, "--out", tmp_path / "out")
+    else:
+        code = run("score", "--schema", schema, "--constraints", kb, "--weights", weights,
+                   "--data", tmp_path / "data.csv", "--out", tmp_path / "out")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / name}:{line}: not UTF-8 text\n"
+    assert not (tmp_path / "out").exists()

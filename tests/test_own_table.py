@@ -32,6 +32,7 @@ from logicood.mln import (
 )
 from logicood.schema import BINARY_DOMAIN, Dataset, Schema
 from logicood.search import SearchConfig, greedy_search
+from logicood.synth import SynthSpec, sample_id, sample_ood
 
 
 @st.composite
@@ -139,3 +140,16 @@ def test_no_table_is_built_over_the_space_cap(unbuilt, monkeypatch):
     for constraint in (c, *compiled):
         assert "table" not in vars(constraint)
     assert unbuilt == []
+
+
+def test_synthesis_builds_no_table_over_the_space_cap(unbuilt):
+    """Synthesis joins over every concept, and its cap is checked before
+    any constraint's table is read, in either OOD mode."""
+    c = compile_source(" and ".join(name for name, _ in WIDE.concepts), WIDE)
+    model = MlnModel(WIDE, (c,), np.zeros(1))
+    message = "semantic space of 40 concepts: 1099511627776 exceeds cap 1000000"
+    with pytest.raises(SpaceCapError, match=message):
+        sample_id(SynthSpec(WIDE, model, n_id=1, n_ood=1))
+    with pytest.raises(SpaceCapError, match=message):
+        sample_ood(SynthSpec(WIDE, model, 1, 1, "alternate_mln", alternate_model=model))
+    assert unbuilt == [] and "table" not in vars(c)

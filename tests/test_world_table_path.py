@@ -3,10 +3,10 @@ worlds anywhere but mln.WorldTable.codes, if rows are grouped by world
 anywhere but mln.WorldCounts.of, if greedy_search evaluates a constraint
 itself instead of reading its trees' own columns, if its candidate loop
 builds a world table or a model, codes anything or compiles or replaces a
-constraint, if world_table or the search's own columns evaluate a
-constraint or enumerate worlds instead of reading each compiled
-constraint's own table, or if candidate generation compiles, evaluates
-or enumerates anything."""
+constraint, if world_table, the search's own columns or synthesis
+evaluate a constraint or enumerate worlds instead of reading each
+compiled constraint's own table, or if candidate generation compiles,
+evaluates or enumerates anything."""
 
 import ast
 from pathlib import Path
@@ -215,20 +215,29 @@ def test_greedy_search_evaluates_no_constraint():
 
 
 def test_world_tables_are_joins_of_own_tables():
-    """world_table and greedy search's own columns read each compiled
-    constraint's cached table, CompiledConstraint.table, the one place a
-    constraint is evaluated over worlds: neither evaluates a constraint
-    nor enumerates worlds."""
+    """world_table, greedy search's own columns and synthesis read each
+    compiled constraint's cached table, CompiledConstraint.table, the one
+    place a constraint is evaluated over worlds: none evaluates a
+    constraint or enumerates worlds."""
     building = EVALUATIONS | {"enumerate_space"}
     mln_tree = ast.parse((PACKAGE / "mln.py").read_text(encoding="utf-8"))
     search_tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    synth_tree = ast.parse((PACKAGE / "synth.py").read_text(encoding="utf-8"))
     assert _calls(_function(mln_tree, "world_table"), building) == []
     assert _calls(_function(search_tree, "_own_columns"), building) == []
-    # The scan sees synthesis enumerate the full space and evaluate over
+    assert _calls(synth_tree, building) == []
+    # The scan sees a module enumerate the full space and evaluate over
     # it, so it is not blind to either name.
-    synth_tree = ast.parse((PACKAGE / "synth.py").read_text(encoding="utf-8"))
-    found = {name for name, _ in _calls(synth_tree, building)}
-    assert {"enumerate_space", "satisfaction_matrix"} <= found
+    source = (
+        "from .mln import enumerate_space, satisfaction_matrix\n"
+        "def _world_probabilities(model, space_cap):\n"
+        "    worlds = enumerate_space(model.schema, space_cap)\n"
+        "    return worlds, mln.satisfaction_matrix(model, worlds) @ model.weights\n"
+    )
+    assert _calls(ast.parse(source), building) == [
+        ("enumerate_space", 3),
+        ("satisfaction_matrix", 4),
+    ]
 
 
 def test_greedy_candidate_loop_builds_and_codes_no_table():
