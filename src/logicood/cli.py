@@ -164,11 +164,17 @@ def cmd_fuse(args) -> int:
         raise ValidationError(
             f"{args.train}: fitting the {family} family needs __detector_score"
         )
-    dist = distributions.fit_distribution(reference.detector_scores, family)
+    try:
+        dist = distributions.fit_distribution(reference.detector_scores, family)
+    except ValidationError as exc:  # e.g. a detector score that is not finite
+        raise ValidationError(f"{args.train}: {exc}") from None
     if family == "none" and data.detector_scores is None:
         fused = mln.mln_score_batch(model, data.vectors)
     else:
-        fused = fusion.fuse_batch(fusion.FusedScorer(model, dist), data)
+        try:
+            fused = fusion.fuse_batch(fusion.FusedScorer(model, dist), data)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.data}: {exc}") from None
     flags = None if args.threshold is None else fusion.threshold(fused, args.threshold)
     _write_id_csv(args.out, "score", data.sample_ids, fused.tolist())
     if args.dist_out:

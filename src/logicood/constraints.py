@@ -24,7 +24,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .artifacts import open_text, write_text
-from .errors import CompileError, ParseError
+from .errors import CompileError, ParseError, ValidationError
 from .schema import Schema
 
 
@@ -291,10 +291,21 @@ class CompiledConstraint:
     @cached_property
     def table(self) -> np.ndarray:
         """0/1 truth values over the worlds of self.concepts alone, in
-        enumerate_space's order: the one evaluation of a constraint over worlds."""
-        sizes = [self.schema.domain_sizes[ci] for ci in self.concepts]
-        values = dict(zip(self.concepts, np.unravel_index(np.arange(math.prod(sizes)), sizes)))
-        return _eval(self.ast, self.atoms, lambda ci, vi: values[ci] == vi).astype(np.int8)
+        enumerate_space's order."""
+        return truth_table(self.ast, self.atoms, world_values(self.schema, self.concepts))
+
+
+def world_values(schema: Schema, concepts) -> dict[int, np.ndarray]:
+    """Each concept's value index on the worlds of the given concepts
+    (ascending schema indices), in enumerate_space's order."""
+    sizes = [schema.domain_sizes[ci] for ci in concepts]
+    return dict(zip(concepts, np.unravel_index(np.arange(math.prod(sizes)), sizes)))
+
+
+def truth_table(ast: Node, atoms, values) -> np.ndarray:
+    """0/1 truth values of a resolved tree on worlds given by world_values
+    of the concepts it names: the one evaluation of a constraint over worlds."""
+    return _eval(ast, atoms, lambda ci, vi: values[ci] == vi).astype(np.int8)
 
 
 def _eval(node: Node, atoms, leaf) -> np.ndarray:
@@ -369,7 +380,7 @@ def load_constraints(path, schema: Schema) -> list[CompiledConstraint]:
                 raise ParseError(
                     f"{path}:{lineno}: {exc.message}", exc.offset, stripped
                 ) from exc
-            except CompileError as exc:
+            except ValidationError as exc:  # an unknown concept or value too
                 raise CompileError(f"{path}:{lineno}: {exc}") from exc
     return compiled
 

@@ -355,7 +355,6 @@ class FitResult:
     model: MlnModel
     nll_history: tuple[float, ...]  # NLL at init and after each accepted step
     epochs_used: int
-    worlds: WorldTable  # the model's world table, which the fit read
     converged: bool  # L-BFGS-B stopped on its own convergence test
 
 
@@ -371,7 +370,7 @@ def fit_weights(
     stats = _stats(model, data, cfg.space_cap)
     weights, history, converged = fit_stats(stats, cfg)
     fitted = replace(model, weights=weights)
-    return FitResult(fitted, history, len(history) - 1, stats.worlds, converged)
+    return FitResult(fitted, history, len(history) - 1, converged)
 
 
 def fit_stats(stats: SufficientStats, cfg: FitConfig) -> tuple[np.ndarray, tuple[float, ...], bool]:

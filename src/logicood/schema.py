@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +34,6 @@ class Schema:
     """Ordered concepts with finite domains; order is significant."""
 
     concepts: tuple[tuple[str, tuple[str, ...]], ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -50,11 +49,14 @@ class Schema:
                 )
             if len(set(domain)) != len(domain):
                 raise ValidationError(f"concept {name!r} has duplicate domain values")
-            self._index[name] = len(self._index)
 
     @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.concepts)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
     def domain_sizes(self) -> tuple[int, ...]:
@@ -149,7 +151,11 @@ def id_subset(data: Dataset) -> Dataset:
 
 def load_schema(path) -> Schema:
     """Read a schema JSON file: {"concept": ["v1", ...] | "binary", ...}."""
-    return schema_from_dict(read_json(path))
+    raw = read_json(path)
+    try:
+        return schema_from_dict(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def schema_from_dict(raw) -> Schema:
@@ -241,6 +247,10 @@ def load_dataset(path, schema: Schema) -> Dataset:
                 )
             ood[r] = cell == "1"
 
+    if len(set(ids)) != n:  # name the first row whose id repeats
+        first = {}
+        r = next(r for r, sid in enumerate(ids) if first.setdefault(sid, r) != r)
+        raise ValidationError(f"{path}: row {r + 2}: duplicate {COL_ID} {ids[r]!r}")
     return Dataset(schema, vectors, tuple(ids), det, ood)
 
 

@@ -3,10 +3,12 @@
 Candidates are boolean trees over (possibly negated) binary concept
 literals, enumerated in a fixed deterministic order and deduplicated so
 that no two pool members are logically equivalent (in particular,
-contrapositive pairs of implications collapse to one entry). The greedy
-pass considers each candidate once, refits all weights with the candidate
-added, and keeps it only if validation AUROC improves by more than the
-acceptance margin delta_min.
+contrapositive pairs of implications collapse to one entry): each is
+keyed on its concepts and its truth table over their worlds alone, from
+constraints.truth_table, the function behind CompiledConstraint.table.
+The greedy pass considers each candidate once, refits all weights with
+the candidate added, and keeps it only if validation AUROC improves by
+more than the acceptance margin delta_min.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
-from .constraints import CONNECTIVES, Atom, Node, Not, compile_constraint, pretty
+from .constraints import (
+    CONNECTIVES, Atom, Node, Not, compile_constraint, pretty, truth_table, world_values,
+)
 from .errors import NumericalError, ValidationError
 from .metrics import auroc_from_counts
 from .mln import (
@@ -53,23 +56,8 @@ class GeneratorConfig:
                 raise ValidationError(f"unknown connective {c!r}")
 
 
-class _Literal(NamedTuple):
-    ast: Node
-    concept: int  # position in the concept selection
-    # axes[k - 1][r]: the truth on the concept's values [false, true], laid
-    # along axis r of a k-literal table and of length 1 on the others.
-    axes: tuple[tuple[np.ndarray, ...], ...]
-
-
-def _axes(truth: np.ndarray, depth: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    return tuple(
-        tuple(truth.reshape([2 if axis == r else 1 for axis in range(k)]) for r in range(k))
-        for k in range(1, depth + 1)
-    )
-
-
 def generate_candidates(schema: Schema, config: GeneratorConfig) -> tuple[Node, ...]:
-    """Deterministic pool: literals first (schema order, positive before
+    """Deterministic pool: literals first (selection order, positive before
     negated), then implications by antecedent and consequent, then depth-3
     trees; logically equivalent duplicates keep the first-generated form."""
     names = config.concepts if config.concepts is not None else schema.names
@@ -83,55 +71,54 @@ def generate_candidates(schema: Schema, config: GeneratorConfig) -> tuple[Node, 
                 f"candidate generation uses bare literals; concept {name!r} is not binary"
             )
 
-    literals: list[_Literal] = []
-    for position, name in enumerate(names):
-        truth = np.array([False, True])
-        literals.append(_Literal(Atom(name, "true"), position, _axes(truth, config.max_depth)))
+    literals: list[tuple[Node, int]] = []  # (tree, schema index)
+    atoms: dict[Atom, tuple[int, int]] = {}
+    for name in names:
+        ci, atom = schema.concept_index(name), Atom(name, "true")
+        atoms[atom] = (ci, schema.value_index(ci, "true"))
+        literals.append((atom, ci))
         if config.allow_negation:
-            negated = _axes(~truth, config.max_depth)
-            literals.append(_Literal(Not(Atom(name, "true")), position, negated))
+            literals.append((Not(atom), ci))
     connectives = [_CONNECTIVES[token] for token in config.connectives]
 
     # A candidate is keyed by the concepts it names and its truth table over
-    # those concepts alone. The key is exact because every connective depends
-    # on both operands and a candidate names each concept once, so a
-    # candidate depends on every concept it names: two candidates are
-    # equivalent exactly when they name the same concepts and have the same
-    # table. Were a connective to ignore an operand, the key could only keep
-    # a duplicate; it could never merge two different candidates.
+    # those concepts alone: its compiled constraint's (concepts, table). The
+    # key is exact because every connective depends on both operands and a
+    # candidate names each concept once, so a candidate depends on every
+    # concept it names: two candidates are equivalent exactly when they name
+    # the same concepts and have the same table. Were a connective to ignore
+    # an operand, the key could only keep a duplicate; it could never merge
+    # two different candidates.
     pool: list[Node] = []
     seen: set[tuple[tuple[int, ...], bytes]] = set()
+    values: dict[tuple[int, ...], dict] = {}  # world_values per concept set
 
-    def add(ast: Node, lits: list[_Literal], truth) -> None:
-        """Pool ast unless an equivalent candidate is pooled; truth maps its
-        literals' truths, each on its own axis, to its table. Each literal
-        takes the axis of its concept's rank, so the table comes out in
-        ascending concept order."""
-        concepts = sorted(lit.concept for lit in lits)
-        table = truth(*(lit.axes[len(lits) - 1][concepts.index(lit.concept)] for lit in lits))
-        key = (tuple(concepts), table.tobytes())
+    def add(ast: Node, *concepts: int) -> None:
+        """Pool ast, over the given schema indices, unless an equivalent is pooled."""
+        concepts = tuple(sorted(concepts))
+        if concepts not in values:
+            values[concepts] = world_values(schema, concepts)
+        key = (concepts, truth_table(ast, atoms, values[concepts]).tobytes())
         if key not in seen:
             seen.add(key)
             pool.append(ast)
 
-    for lit in literals:
-        add(lit.ast, [lit], lambda x: x)
+    for a, i in literals:
+        add(a, i)
 
     if config.max_depth >= 2:
         for conn in connectives:
-            for a, b in product(literals, repeat=2):
-                if a.concept != b.concept:
-                    add(conn.node(a.ast, b.ast), [a, b], conn.truth)
+            for (a, i), (b, j) in product(literals, repeat=2):
+                if i != j:
+                    add(conn.node(a, b), i, j)
 
     if config.max_depth >= 3:
         for outer, inner in product(connectives, repeat=2):
-            for a, b, c in product(literals, repeat=3):
-                if len({a.concept, b.concept, c.concept}) < 3:
+            for (a, i), (b, j), (c, k) in product(literals, repeat=3):
+                if len({i, j, k}) < 3:
                     continue
-                add(outer.node(a.ast, inner.node(b.ast, c.ast)), [a, b, c],
-                    lambda x, y, z: outer.truth(x, inner.truth(y, z)))
-                add(outer.node(inner.node(a.ast, b.ast), c.ast), [a, b, c],
-                    lambda x, y, z: outer.truth(inner.truth(x, y), z))
+                add(outer.node(a, inner.node(b, c)), i, j, k)
+                add(outer.node(inner.node(a, b), c), i, j, k)
 
     return tuple(pool)
 

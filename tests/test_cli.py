@@ -890,3 +890,67 @@ def test_input_that_is_not_utf8_exit_code(tmp_path, capsys, name, text, line):
     assert code == 2
     assert capsys.readouterr().err == f"error: {tmp_path / name}:{line}: not UTF-8 text\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("cor -> is_octagon", "unknown concept: 'cor'"),
+        ("color=x -> is_octagon", "value 'x' not in domain of 'color'"),
+    ],
+)
+def test_compile_unresolved_atom_names_the_line(workdir, capsys, line, message):
+    kb = workdir / "bad.txt"
+    kb.write_text(f"is_octagon\n{line}\n", encoding="utf-8")
+    assert run("compile", "--schema", workdir / "schema.json", "--constraints", kb) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kb}:2: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"color": "binry"}', "domain must be a list of strings"),
+        ('{"is-octagon": "binary"}', "invalid concept name: 'is-octagon'"),
+    ],
+)
+def test_compile_invalid_schema_names_the_file(workdir, capsys, text, message):
+    schema = workdir / "bad.json"
+    schema.write_text(text, encoding="utf-8")
+    assert run("compile", "--schema", schema, "--constraints", workdir / "kb.txt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {schema}: ") and message in err
+
+
+def test_fit_duplicate_id_names_the_file_and_row(workdir, capsys):
+    train = workdir / "dup.csv"
+    train.write_text(
+        "__id,color,is_octagon\na,red,true\nb,blue,false\na,red,true\n", encoding="utf-8"
+    )
+    code = run(
+        "fit", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--train", train, "--out", workdir / "w.json",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {train}: row 4: duplicate __id 'a'\n"
+
+
+@pytest.mark.parametrize("infinite", ["train", "data"])
+def test_fuse_non_finite_detector_score_names_the_file(workdir, capsys, infinite):
+    weights = _unit_weights(workdir)
+    rows = "".join(f"{i},red,true,{i / 10}\n" for i in range(40))
+    paths = {}
+    for name in ("train", "data"):
+        paths[name] = workdir / f"{name}.csv"
+        score = "1e400" if name == infinite else "0.5"
+        header = "__id,color,is_octagon,__detector_score"
+        paths[name].write_text(f"{header}\nx,red,true,{score}\n{rows}", encoding="utf-8")
+    code = run(
+        "fuse", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--weights", weights, "--train", paths["train"], "--data", paths["data"],
+        "--out", workdir / "fused.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[infinite]}: ") and "finite" in err
+    assert not (workdir / "fused.csv").exists()

@@ -395,18 +395,18 @@ def test_world_counts_onto_a_table_are_its_coded_rows(seed):
     assert np.array_equal(got, expected) and got.dtype == np.int64
 
 
-def test_fit_result_worlds_are_the_enumerated_satisfaction_matrix(rng):
+def test_world_table_is_the_enumerated_satisfaction_matrix(rng):
+    # The table a fit reads depends on the constraints, not on the weights.
     cfg = FitConfig(max_epochs=3)
     for _ in range(20):
         m = partial_kb_model(rng)
-        data = dataset(m.schema, random_vectors(rng, m.schema, 30))
-        worlds = fit_weights(m, data, cfg).worlds
+        worlds = mln.world_table(m, cfg.space_cap)
         concepts = sorted({ci for c in m.constraints for ci in c.concepts})
         expected = satisfaction_matrix(m, enumerate_space(m.schema, cfg.space_cap, concepts))
         assert np.array_equal(worlds.phi, expected)
         free = [s for ci, s in enumerate(m.schema.domain_sizes) if ci not in concepts]
         assert worlds.log_free == math.log(math.prod(free))
-    worlds = fit_weights(MlnModel(m.schema, (), np.zeros(0)), data, cfg).worlds
+    worlds = mln.world_table(MlnModel(m.schema, (), np.zeros(0)), cfg.space_cap)
     assert worlds.concepts == () and worlds.phi.shape == (1, 0)
     assert worlds.log_free == math.log(math.prod(m.schema.domain_sizes))
 

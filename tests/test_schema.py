@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from logicood.errors import ValidationError
 from logicood.metrics import evaluate_scores
 from logicood.mln import enumerate_space
 from logicood.schema import (
+    BINARY_DOMAIN,
     COL_DETECTOR,
     COL_ID,
     COL_OOD,
@@ -57,6 +59,15 @@ def test_schema_duplicate_concept():
 def test_schema_bad_name():
     with pytest.raises(ValidationError, match="invalid concept name"):
         Schema((("9bad", ("x", "y")),))
+
+
+def test_replace_builds_a_schema_of_its_own():
+    s = Schema((("a", BINARY_DOMAIN), ("b", BINARY_DOMAIN)))
+    t = replace(s, concepts=(("x", BINARY_DOMAIN),))
+    assert [t.concept_index("x"), s.concept_index("a"), s.concept_index("b")] == [0, 0, 1]
+    for schema, name in ((s, "x"), (t, "a")):
+        with pytest.raises(ValidationError, match="unknown concept"):
+            schema.concept_index(name)
 
 
 def test_schema_bad_json(tmp_path):

@@ -6,7 +6,8 @@ builds a world table or a model, codes anything or compiles or replaces a
 constraint, if world_table, the search's own columns or synthesis
 evaluate a constraint or enumerate worlds instead of reading each
 compiled constraint's own table, or if candidate generation compiles,
-evaluates or enumerates anything."""
+evaluates or enumerates anything or keys candidates on anything but
+constraints.truth_table."""
 
 import ast
 from pathlib import Path
@@ -327,14 +328,18 @@ def test_loop_scan_flags_models_replacements_and_compiles():
 
 
 def test_candidate_generation_compiles_and_enumerates_nothing():
-    """Candidates are deduplicated on truth tables composed from the
-    connectives' truth functions, not on compiled constraints evaluated
-    over an enumerated space."""
+    """Candidates are deduplicated on each candidate's own truth table from
+    constraints.truth_table, the function behind CompiledConstraint.table,
+    not on compiled constraints evaluated over an enumerated space nor on
+    tables composed from the connectives' truth functions."""
     tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
     generate = _function(tree, "generate_candidates")
     assert _evaluations(generate) == []
     building = {"compile_constraint", "compile_source", "enumerate_space"}
     assert _calls(generate, building) == []
+    assert _calls(generate, {"truth_table"})
+    truths = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "truth"]
+    assert truths == []
     # The scan sees greedy_search compile the accepted set, so it is not blind.
     assert _calls(_function(tree, "greedy_search"), building)
 
