@@ -5,6 +5,9 @@ temporary file in the target's directory, which replaces the target only
 when the write succeeded, so no reader sees a half-written artifact and a
 failed write leaves an existing target unchanged. Each artifact's format
 stays in its home module (save_schema, save_weights, ...).
+
+Every CSV file the package reads (data and scores files) goes through
+read_columns, which checks each row's width and returns whole columns.
 """
 
 from __future__ import annotations
@@ -60,14 +63,45 @@ def open_text(path, newline=None):
             raise ValidationError(f"{path}:{bad}: not UTF-8 text") from None
 
 
-def read_csv(path) -> list[list[str]]:
-    """The rows of a CSV file; a malformed row raises ValidationError."""
+def read_columns(path) -> tuple[list[str] | None, list[tuple[str, ...]]]:
+    """A CSV file's header and its columns, each a tuple of cells, or
+    (None, []) for an empty file. A malformed row, or the first row whose
+    width differs from the header's, raises ValidationError naming it."""
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            return list(reader)
+            header, *rows = list(reader) or [None]
         except csv.Error as exc:  # e.g. a field over the csv module's limit
             raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        return None, []
+    width = len(header)
+    r = next((r for r, row in enumerate(rows) if len(row) != width), None)
+    if r is not None:  # rows are numbered from 2, after the header
+        raise ValidationError(f"{path}: row {r + 2} has {len(rows[r])} cells, expected {width}")
+    return header, list(zip(*rows)) or [()] * width
+
+
+def float_column(path, column, what) -> list[float]:
+    """float() of each cell of a read_columns column; the first cell it
+    rejects raises ValidationError naming its row."""
+    values = []
+    try:
+        for cell in column:
+            values.append(float(cell))
+    except ValueError:
+        row = len(values) + 2
+        raise ValidationError(f"{path}: row {row}: non-numeric {what} {cell!r}") from None
+    return values
+
+
+def blame(path, fn, *args):
+    """fn(*args), with a ValidationError it raises prefixed by path, the
+    file at fault."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def read_json(path):

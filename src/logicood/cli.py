@@ -127,6 +127,8 @@ def cmd_fit(args) -> int:
     sch = schema_mod.load_schema(args.schema)
     constraints = load_constraints(args.constraints, sch)
     train = schema_mod.id_subset(schema_mod.load_dataset(args.train, sch))
+    if len(train) == 0:
+        raise ValidationError(f"{args.train}: cannot fit on a dataset with no ID rows")
     cfg = _fit_config(args)
     model = mln.MlnModel(sch, tuple(constraints), np.zeros(len(constraints)))
     _log(f"epoch 0: weights initialized to {cfg.init_weight}")
@@ -164,17 +166,12 @@ def cmd_fuse(args) -> int:
         raise ValidationError(
             f"{args.train}: fitting the {family} family needs __detector_score"
         )
-    try:
-        dist = distributions.fit_distribution(reference.detector_scores, family)
-    except ValidationError as exc:  # e.g. a detector score that is not finite
-        raise ValidationError(f"{args.train}: {exc}") from None
+    dist = artifacts.blame(  # e.g. a detector score that is not finite
+        args.train, distributions.fit_distribution, reference.detector_scores, family)
     if family == "none" and data.detector_scores is None:
         fused = mln.mln_score_batch(model, data.vectors)
     else:
-        try:
-            fused = fusion.fuse_batch(fusion.FusedScorer(model, dist), data)
-        except ValidationError as exc:
-            raise ValidationError(f"{args.data}: {exc}") from None
+        fused = artifacts.blame(args.data, fusion.fuse_batch, fusion.FusedScorer(model, dist), data)
     flags = None if args.threshold is None else fusion.threshold(fused, args.threshold)
     _write_id_csv(args.out, "score", data.sample_ids, fused.tolist())
     if args.dist_out:
@@ -190,33 +187,21 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     sch = schema_mod.load_schema(args.schema)
     data = schema_mod.load_dataset(args.data, sch)
-    header, *rows = artifacts.read_csv(args.scores) or [None]
+    header, columns = artifacts.read_columns(args.scores)
     if header != ["__id", "score"]:
         raise ValidationError(f"{args.scores}: expected header __id,score")
-    if len(rows) != len(data):
-        raise ValidationError(
-            f"{args.scores}: {len(rows)} scores for {len(data)} data rows"
-        )
-    scores = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        if len(row) != 2:
-            raise ValidationError(
-                f"{args.scores}: row {i + 2} has {len(row)} cells, expected 2"
-            )
-        if row[0] != data.sample_ids[i]:
-            raise ValidationError(
-                f"{args.scores}: row {i + 2} id {row[0]!r} does not match "
-                f"dataset id {data.sample_ids[i]!r}"
-            )
-        try:
-            scores[i] = float(row[1])
-        except ValueError:
-            raise ValidationError(
-                f"{args.scores}: row {i + 2}: non-numeric score {row[1]!r}"
-            ) from None
-        if np.isnan(scores[i]):
-            raise ValidationError(f"{args.scores}: row {i + 2}: NaN score")
-    result = metrics.evaluate_scores(data, scores)
+    ids, cells = columns
+    if len(ids) != len(data):
+        raise ValidationError(f"{args.scores}: {len(ids)} scores for {len(data)} data rows")
+    if ids != data.sample_ids:
+        i = next(i for i, (sid, want) in enumerate(zip(ids, data.sample_ids)) if sid != want)
+        raise ValidationError(f"{args.scores}: row {i + 2} id {ids[i]!r} does not match "
+                              f"dataset id {data.sample_ids[i]!r}")
+    scores = np.array(artifacts.float_column(args.scores, cells, "score"))
+    if np.isnan(scores).any():
+        raise ValidationError(f"{args.scores}: row {np.isnan(scores).argmax() + 2}: NaN score")
+    # e.g. a data file without __is_ood, or with rows of one class only
+    result = artifacts.blame(args.data, metrics.evaluate_scores, data, scores)
     artifacts.write_json(args.out, result.to_json_dict())
     _log(
         f"auroc {result.auroc:.4f}, aupr_id {result.aupr_id:.4f}, "
@@ -228,6 +213,11 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     sch = schema_mod.load_schema(args.schema)
     train, val = _load_datasets(args.train, args.val, sch)
+    # greedy_search's own checks, here so that each names its file
+    if val.is_ood is None or val.is_ood.all() or not val.is_ood.any():
+        raise ValidationError(f"{args.val}: validation set must contain both ID and OOD rows")
+    if len(train) == 0 or train.is_ood is not None and train.is_ood.all():
+        raise ValidationError(f"{args.train}: training set has no ID rows")
     concepts = args.concepts
     if concepts is not None:  # "" selects no concept, which generate_candidates rejects
         concepts = tuple(concepts.split(",")) if concepts else ()

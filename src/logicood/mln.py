@@ -233,11 +233,11 @@ def joined_table(
 @dataclass(frozen=True)
 class WorldCounts:
     """Sets of rows counted per distinct world of some concepts: a row's
-    values on them, every other column 0. The counts go onto the worlds of
-    any table over a subset of those concepts in one pass over the
-    distinct worlds, of which there are at most as many as rows. This is
-    the package's one grouping of rows by world; it sorts the rows'
-    values and never codes a world, so no space is too large for it."""
+    values on them, every other column 0; the counts go onto the worlds of
+    any table over a subset of them in one pass over the distinct worlds.
+    It sorts the rows' values and never codes a world, so no space is too
+    large for it: greedy search and --explain group rows with it, while
+    fit_weights, under the cap, counts WorldTable.codes with np.bincount."""
 
     worlds: np.ndarray  # (n_concepts, k) index columns of the distinct worlds
     counts: np.ndarray  # (sets, k) rows of each set in each world

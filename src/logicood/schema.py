@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifacts import atomic_open, read_csv, read_json, write_json
+from .artifacts import atomic_open, blame, float_column, read_columns, read_json, write_json
 from .errors import ValidationError
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -151,11 +151,7 @@ def id_subset(data: Dataset) -> Dataset:
 
 def load_schema(path) -> Schema:
     """Read a schema JSON file: {"concept": ["v1", ...] | "binary", ...}."""
-    raw = read_json(path)
-    try:
-        return schema_from_dict(raw)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return blame(path, schema_from_dict, read_json(path))
 
 
 def schema_from_dict(raw) -> Schema:
@@ -185,9 +181,12 @@ def load_dataset(path, schema: Schema) -> Dataset:
     """Read a dataset CSV validated against the schema.
 
     Header must contain every concept name; reserved columns __id,
-    __detector_score, __is_ood are optional.
+    __detector_score, __is_ood are optional. Of several faults, the one
+    reported is the first of: a row's width, the header, then the columns
+    (concepts in schema order, __detector_score, __is_ood, a repeated
+    __id), each at its first faulty row.
     """
-    header, *rows = read_csv(path) or [None]
+    header, cells = read_columns(path)
     if header is None:
         raise ValidationError(f"{path}: empty dataset file")
     reserved = {COL_ID, COL_DETECTOR, COL_OOD}
@@ -200,58 +199,34 @@ def load_dataset(path, schema: Schema) -> Dataset:
     if missing:
         raise ValidationError(f"{path}: missing concept columns {missing}")
 
-    col_of = {name: header.index(name) for name in header}
-    concept_cols = [col_of[name] for name in schema.names]
-    id_col = col_of.get(COL_ID)
-    det_col = col_of.get(COL_DETECTOR)
-    ood_col = col_of.get(COL_OOD)
+    columns = dict(zip(header, cells))
+    n = len(cells[0]) if cells else 0
 
-    # Per-concept value -> index lookup, built once.
-    lookups = [
-        {value: i for i, value in enumerate(domain)} for _, domain in schema.concepts
-    ]
+    def decode(column, lookup, fault):
+        """lookup[cell] of each cell; a cell not in lookup raises at its row, with fault(cell)."""
+        try:
+            return [lookup[cell] for cell in column]
+        except KeyError as exc:
+            (cell,) = exc.args
+            raise ValidationError(f"{path}: row {column.index(cell) + 2}{fault(cell)}") from None
 
-    n = len(rows)
     vectors = np.empty((n, len(schema)), dtype=np.int64)
-    ids = []
-    det = np.empty(n) if det_col is not None else None
-    ood = np.empty(n, dtype=bool) if ood_col is not None else None
-
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}"
-            )
-        for c, (col, lookup) in enumerate(zip(concept_cols, lookups)):
-            cell = row[col]
-            try:
-                vectors[r, c] = lookup[cell]
-            except KeyError:
-                raise ValidationError(
-                    f"{path}: row {r + 2}, column {schema.names[c]!r}: "
-                    f"value {cell!r} not in domain"
-                ) from None
-        ids.append(row[id_col] if id_col is not None else str(r))
-        if det is not None:
-            try:
-                det[r] = float(row[det_col])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {r + 2}: non-numeric detector score {row[det_col]!r}"
-                ) from None
-        if ood is not None:
-            cell = row[ood_col]
-            if cell not in ("0", "1"):
-                raise ValidationError(
-                    f"{path}: row {r + 2}: {COL_OOD} must be 0 or 1, got {cell!r}"
-                )
-            ood[r] = cell == "1"
+    for c, (name, domain) in enumerate(schema.concepts):
+        vectors[:, c] = decode(columns[name], {value: i for i, value in enumerate(domain)},
+                               lambda cell: f", column {name!r}: value {cell!r} not in domain")
+    det = ood = None
+    if COL_DETECTOR in columns:
+        det = np.array(float_column(path, columns[COL_DETECTOR], "detector score"))
+    if COL_OOD in columns:
+        ood = np.array(decode(columns[COL_OOD], {"0": False, "1": True},
+                              lambda cell: f": {COL_OOD} must be 0 or 1, got {cell!r}"), dtype=bool)
+    ids = columns[COL_ID] if COL_ID in columns else tuple(map(str, range(n)))
 
     if len(set(ids)) != n:  # name the first row whose id repeats
         first = {}
         r = next(r for r, sid in enumerate(ids) if first.setdefault(sid, r) != r)
         raise ValidationError(f"{path}: row {r + 2}: duplicate {COL_ID} {ids[r]!r}")
-    return Dataset(schema, vectors, tuple(ids), det, ood)
+    return Dataset(schema, vectors, ids, det, ood)
 
 
 def save_dataset(data: Dataset, path) -> None:

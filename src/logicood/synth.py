@@ -62,9 +62,9 @@ class SynthSpec:
     space_cap: int = DEFAULT_SPACE_CAP
 
     def __post_init__(self):
-        for key in ("n_id", "n_ood"):
-            if getattr(self, key) < 1:
-                raise ValidationError(f"{key}: must be >= 1")
+        for key, least in (("n_id", 1), ("n_ood", 1), ("seed", 0), ("space_cap", 1)):
+            if getattr(self, key) < least:
+                raise ValidationError(f"{key}: must be >= {least}")
         if self.ood_mode not in OOD_MODES:
             raise ValidationError(f"ood_mode: unknown mode {self.ood_mode!r}")
         if self.ood_mode == "alternate_mln" and self.alternate_model is None:

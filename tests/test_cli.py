@@ -787,10 +787,13 @@ def _spec_without_gev_shape(config):
         (lambda c: c.update(ood_mode="bogus"), ": ood_mode: unknown mode 'bogus'"),
         (lambda c: c.update(n_id=True, n_ood="7"), ": n_id: expected a whole number, got True"),
         (lambda c: c.update(n_ood="7"), ": n_ood: expected a whole number, got '7'"),
+        (lambda c: c.update(seed=-3), ": seed: must be >= 0"),
+        (lambda c: c.update(space_cap=0), ": space_cap: must be >= 1"),
     ],
     ids=[
         "n-id-not-a-number", "weight-not-a-number", "model-not-an-object", "gev-without-shape",
         "n-id-fractional", "n-id-zero", "ood-mode-unknown", "n-id-bool", "n-ood-numeric-string",
+        "seed-negative", "space-cap-zero",
     ],
 )
 def test_synth_bad_field_exit_code(tmp_path, capsys, edit, message):
@@ -801,6 +804,14 @@ def test_synth_bad_field_exit_code(tmp_path, capsys, edit, message):
     assert run("synth", "--config", config, "--out-dir", tmp_path / "out") == 2
     assert f"{config}{message}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "data.csv").exists()
+
+
+def test_synth_negative_seed_flag_exit_code(tmp_path, capsys):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
+    assert run("synth", "--config", config, "--out-dir", tmp_path / "out", "--seed", "-1") == 2
+    assert capsys.readouterr().err == "error: seed: must be >= 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_null_optional_fields_are_absent(tmp_path):
@@ -954,3 +965,82 @@ def test_fuse_non_finite_detector_score_names_the_file(workdir, capsys, infinite
     err = capsys.readouterr().err
     assert err.startswith(f"error: {paths[infinite]}: ") and "finite" in err
     assert not (workdir / "fused.csv").exists()
+
+
+LABELED = "__id,color,is_octagon,__is_ood\n"
+ALL_OOD = LABELED + "a,red,true,1\nb,blue,false,1\n"
+BOTH = LABELED + "a,red,true,0\nb,blue,false,1\n"
+
+
+def _csv(workdir, name, text):
+    path = workdir / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_fit_without_id_rows_names_the_file(workdir, capsys):
+    train = _csv(workdir, "ood.csv", ALL_OOD)
+    code = run(
+        "fit", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--train", train, "--out", workdir / "w.json",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {train}: cannot fit on a dataset with no ID rows\n"
+
+
+@pytest.mark.parametrize(
+    "train, val, blamed, message",
+    [
+        (ALL_OOD, BOTH, "train", "training set has no ID rows"),
+        (BOTH, LABELED + "a,red,true,0\nb,blue,false,0\n", "val",
+         "validation set must contain both ID and OOD rows"),
+        (BOTH, "color,is_octagon\nred,true\n", "val",
+         "validation set must contain both ID and OOD rows"),
+    ],
+    ids=["train-all-ood", "val-all-id", "val-unlabeled"],
+)
+def test_search_task_level_errors_name_the_file(workdir, capsys, train, val, blamed, message):
+    paths = {"train": _csv(workdir, "t.csv", train), "val": _csv(workdir, "v.csv", val)}
+    code = run("search", "--schema", workdir / "schema.json", "--train", paths["train"],
+               "--val", paths["val"], "--out", workdir / "s.json")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {paths[blamed]}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ("__id,color,is_octagon\na,red,true\nb,blue,false\n", "dataset lacks the __is_ood column"),
+        (LABELED + "a,red,true,0\nb,blue,false,0\n",
+         "both ID and OOD score lists must be non-empty"),
+    ],
+    ids=["unlabeled", "all-id"],
+)
+def test_eval_task_level_errors_name_the_data_file(workdir, capsys, data, message):
+    labeled = _csv(workdir, "labeled.csv", data)
+    scores = _csv(workdir, "scores.csv", "__id,score\na,1.0\nb,2.0\n")
+    code = run("eval", "--schema", workdir / "schema.json", "--data", labeled,
+               "--scores", scores, "--out", workdir / "r.json")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {labeled}: {message}\n"
+    assert not (workdir / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("z,1.0\nb,1.0\nc\n", "row 4 has 1 cells, expected 2"),
+        ("a,abc\nz,1.0\nc,1.0\n", "row 3 id 'z' does not match dataset id 'b'"),
+        ("a,nan\nb,abc\nc,1.0\n", "row 3: non-numeric score 'abc'"),
+    ],
+    ids=["width-before-ids", "ids-before-values", "values-before-nan"],
+)
+def test_eval_of_two_score_faults_the_first_in_column_order_is_reported(
+    workdir, capsys, rows, message
+):
+    labeled = _csv(workdir, "labeled.csv", BOTH + "c,red,true,1\n")
+    scores = _csv(workdir, "scores.csv", "__id,score\n" + rows)
+    code = run("eval", "--schema", workdir / "schema.json", "--data", labeled,
+               "--scores", scores, "--out", workdir / "r.json")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {scores}: {message}\n"
