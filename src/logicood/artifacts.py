@@ -7,7 +7,9 @@ failed write leaves an existing target unchanged. Each artifact's format
 stays in its home module (save_schema, save_weights, ...).
 
 Every CSV file the package reads (data and scores files) goes through
-read_columns, which checks each row's width and returns whole columns.
+read_blocks, which yields the header and then the records in blocks of at
+most BLOCK_CELLS cells, as columns. A reader and each writer hold one block
+of rows at a time, whatever the size of the file.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import os
 from contextlib import contextmanager
 
 from .errors import ValidationError
+
+BLOCK_CELLS = 1 << 16  # cells per block that CSV readers and writers hold
 
 
 @contextmanager
@@ -57,41 +61,85 @@ def open_text(path, newline=None):
         try:
             yield fh
         except UnicodeDecodeError:
-            with open(path, "rb") as raw:  # LF, CRLF and CR end a line, as in every reader
-                bad = next(n for n, b in enumerate(raw.read().splitlines(), 1)
-                           if b.decode(errors="replace").encode() != b)
-            raise ValidationError(f"{path}:{bad}: not UTF-8 text") from None
+            raise ValidationError(f"{path}:{first_bad_line(path)}: not UTF-8 text") from None
 
 
-def read_columns(path) -> tuple[list[str] | None, list[tuple[str, ...]]]:
-    """A CSV file's header and its columns, each a tuple of cells, or
-    (None, []) for an empty file. A malformed row, or the first row whose
-    width differs from the header's, raises ValidationError naming it."""
+def first_bad_line(path, size=1 << 16):
+    """The number of the first line of a file that is not UTF-8, or None,
+    read size characters at a time; LF, CRLF and CR each end a line."""
+    line = 1
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        while text := fh.readline(size):
+            try:
+                text.encode()
+            except UnicodeEncodeError:  # a byte not UTF-8, escaped as a lone surrogate
+                return line
+            line += text.endswith("\n")
+
+
+def read_blocks(path):
+    """A CSV file's header (None for an empty file), then its records in
+    blocks of at most BLOCK_CELLS cells, each as its first row's number
+    (from 2) and a list of its columns, emptied when the next block is read.
+    A malformed record or bytes not UTF-8 raise ValidationError where they
+    are met; the first row whose width differs from the header's ends the
+    blocks and raises ValidationError after the last record."""
+    from itertools import islice
+    from operator import itemgetter
+
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header, *rows = list(reader) or [None]
+            yield (header := next(reader, None))
+            width, row, fault = len(header or ()), 2, None
+            while block := list(islice(reader, max(1, BLOCK_CELLS // max(1, width)))):
+                first, row = row, row + len(block)
+                if fault is None and set(map(len, block)) != {width}:
+                    r = next(r for r, cells in enumerate(block) if len(cells) != width)
+                    fault = f"{path}: row {first + r} has {len(block[r])} cells, expected {width}"
+                if fault is None:  # column by column: zip(*block) makes an iterator per row
+                    columns = [tuple(map(itemgetter(c), block)) for c in range(width)]
+                    del block
+                    yield first, columns
+                    columns.clear()  # so that one block's cells are held at a time
         except csv.Error as exc:  # e.g. a field over the csv module's limit
             raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-    if header is None:
-        return None, []
-    width = len(header)
-    r = next((r for r, row in enumerate(rows) if len(row) != width), None)
-    if r is not None:  # rows are numbered from 2, after the header
-        raise ValidationError(f"{path}: row {r + 2} has {len(rows[r])} cells, expected {width}")
-    return header, list(zip(*rows)) or [()] * width
+    if fault is not None:
+        raise ValidationError(fault)
 
 
-def float_column(path, column, what) -> list[float]:
-    """float() of each cell of a read_columns column; the first cell it
-    rejects raises ValidationError naming its row."""
-    values = []
+def raise_after(blocks, message):
+    """Raise ValidationError(message) once blocks is exhausted, so that a
+    fault its reader meets later comes first."""
+    for _ in blocks:
+        pass
+    raise ValidationError(message)
+
+
+def blockwise(array, width):
+    """array's values as Python objects, made a block of rows `width` cells wide at a time."""
+    from itertools import chain
+
+    step = max(1, BLOCK_CELLS // width)
+    return chain.from_iterable(array[s:s + step].tolist() for s in range(0, len(array), step))
+
+
+def float_column(path, cells, what, row) -> list[float]:
+    """float() of each cell of a block column whose first cell is in the
+    given row; the first cell float() rejects, or would bend (a `_` between
+    digits, or whitespace around them), raises ValidationError naming its row."""
+    import re
+
+    bent = re.compile(r"[\s_]").search  # float() accepts no other whitespace
+    suspect, values = bent("".join(cells)), []
     try:
-        for cell in column:
+        for cell in cells:
+            if suspect and bent(cell):
+                raise ValueError
             values.append(float(cell))
     except ValueError:
-        row = len(values) + 2
-        raise ValidationError(f"{path}: row {row}: non-numeric {what} {cell!r}") from None
+        r = len(values)
+        raise ValidationError(f"{path}: row {row + r}: non-numeric {what} {cells[r]!r}") from None
     return values
 
 

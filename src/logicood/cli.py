@@ -38,7 +38,7 @@ def _write_id_csv(path, column, ids, cells) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["__id", column])
         rows = zip(ids, cells)
-        if "\r" in "".join(ids):
+        if any("\r" in sid for sid in ids):
             quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
             for row in rows:
                 (quoted if "\r" in row[0] else writer).writerow(row)
@@ -81,7 +81,7 @@ def _write_explanations(path, model, data) -> None:
     """explain.json: one {"__id", "total_score", "constraints"} object per
     row, byte-identical to json.dumps(objects, indent=2) + "\n". Rows of
     one world differ only in "__id", so each world is explained and
-    formatted once."""
+    formatted once, and each row's text is written as it is formatted."""
     grouped = mln.WorldCounts.of(model.mentioned_concepts, [data.vectors])
     # Each world's members after "__id", as json.dumps indents them in the list.
     head, tail = "[\n  {", "\n]"
@@ -101,11 +101,43 @@ def _write_explanations(path, model, data) -> None:
         }], indent=2)[len(head):-len(tail)]
         for report in mln.explain_batch(model, grouped.worlds.T)
     ]
-    rows = ",\n".join(
-        f'  {{\n    "__id": {encode_basestring_ascii(sid)},{members[w]}'
-        for sid, w in zip(data.sample_ids, grouped.world_of.tolist())
-    )
-    artifacts.write_text(path, f"[\n{rows}\n]\n" if rows else "[]\n")
+    with artifacts.atomic_open(path) as fh:
+        sep = "[\n"
+        for sid, w in zip(data.sample_ids, grouped.world_of.tolist()):
+            fh.write(f'{sep}  {{\n    "__id": {encode_basestring_ascii(sid)},{members[w]}')
+            sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+def _read_scores(path, data):
+    """The scores of a `__id,score` file whose ids are data's, read one
+    block at a time. Of several faults, the one reported is the first of: a
+    row's width, the header, the row count, the ids, non-numeric scores,
+    NaN scores, each at its first faulty row."""
+    blocks = artifacts.read_blocks(path)
+    if next(blocks) != ["__id", "score"]:
+        artifacts.raise_after(blocks, f"{path}: expected header __id,score")
+    faults, scores, n = {}, [np.empty(0)], 0  # the first fault of each rank after the count
+    for row, columns in blocks:
+        ids, cells = columns
+        want = data.sample_ids[row - 2:row - 2 + len(ids)]
+        if ids[:len(want)] != want:
+            i = next(i for i, (sid, expected) in enumerate(zip(ids, want)) if sid != expected)
+            faults.setdefault(1, f"{path}: row {row + i} id {ids[i]!r} does not match "
+                                 f"dataset id {want[i]!r}")
+        try:
+            scores.append(np.array(artifacts.float_column(path, cells, "score", row)))
+            if np.isnan(scores[-1]).any():
+                faults.setdefault(3, f"{path}: row {row + np.isnan(scores[-1]).argmax()}: NaN score")
+        except ValidationError as exc:
+            faults.setdefault(2, str(exc))
+        n += len(ids)
+        del ids, cells  # the reader frees a block's cells as it reads the next
+    if n != len(data):
+        raise ValidationError(f"{path}: {n} scores for {len(data)} data rows")
+    if faults:
+        raise ValidationError(faults[min(faults)])
+    return np.concatenate(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +219,7 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     sch = schema_mod.load_schema(args.schema)
     data = schema_mod.load_dataset(args.data, sch)
-    header, columns = artifacts.read_columns(args.scores)
-    if header != ["__id", "score"]:
-        raise ValidationError(f"{args.scores}: expected header __id,score")
-    ids, cells = columns
-    if len(ids) != len(data):
-        raise ValidationError(f"{args.scores}: {len(ids)} scores for {len(data)} data rows")
-    if ids != data.sample_ids:
-        i = next(i for i, (sid, want) in enumerate(zip(ids, data.sample_ids)) if sid != want)
-        raise ValidationError(f"{args.scores}: row {i + 2} id {ids[i]!r} does not match "
-                              f"dataset id {data.sample_ids[i]!r}")
-    scores = np.array(artifacts.float_column(args.scores, cells, "score"))
-    if np.isnan(scores).any():
-        raise ValidationError(f"{args.scores}: row {np.isnan(scores).argmax() + 2}: NaN score")
+    scores = _read_scores(args.scores, data)
     # e.g. a data file without __is_ood, or with rows of one class only
     result = artifacts.blame(args.data, metrics.evaluate_scores, data, scores)
     artifacts.write_json(args.out, result.to_json_dict())

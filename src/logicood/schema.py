@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifacts import atomic_open, blame, float_column, read_columns, read_json, write_json
+from .artifacts import (atomic_open, blame, blockwise, float_column, raise_after, read_blocks,
+                        read_json, write_json)
 from .errors import ValidationError
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -184,44 +185,61 @@ def load_dataset(path, schema: Schema) -> Dataset:
     __detector_score, __is_ood are optional. Of several faults, the one
     reported is the first of: a row's width, the header, then the columns
     (concepts in schema order, __detector_score, __is_ood, a repeated
-    __id), each at its first faulty row.
+    __id), each at its first faulty row. The file is read one block at a
+    time; each block's columns become arrays at once, and the faults wait
+    until the reader has met every record.
     """
-    header, cells = read_columns(path)
+    blocks = read_blocks(path)
+    header = next(blocks)
     if header is None:
-        raise ValidationError(f"{path}: empty dataset file")
+        raise_after(blocks, f"{path}: empty dataset file")
     reserved = {COL_ID, COL_DETECTOR, COL_OOD}
     for col in header:
         if col not in reserved and col not in schema.names:
-            raise ValidationError(f"{path}: unknown column {col!r}")
+            raise_after(blocks, f"{path}: unknown column {col!r}")
     if len(set(header)) != len(header):
-        raise ValidationError(f"{path}: duplicate column in header")
+        raise_after(blocks, f"{path}: duplicate column in header")
     missing = [name for name in schema.names if name not in header]
     if missing:
-        raise ValidationError(f"{path}: missing concept columns {missing}")
+        raise_after(blocks, f"{path}: missing concept columns {missing}")
 
-    columns = dict(zip(header, cells))
-    n = len(cells[0]) if cells else 0
+    at = {col: c for c, col in enumerate(header)}
+    lookups = {name: {value: i for i, value in enumerate(domain)} for name, domain in schema.concepts}
+    lookups[COL_OOD] = {"0": False, "1": True}
 
-    def decode(column, lookup, fault):
-        """lookup[cell] of each cell; a cell not in lookup raises at its row, with fault(cell)."""
+    def convert(name, cells, row):
+        """A block column's cells as an array; the first faulty cell raises at its row."""
+        if name == COL_DETECTOR:
+            return np.array(float_column(path, cells, "detector score", row))
         try:
-            return [lookup[cell] for cell in column]
+            return np.array([lookups[name][cell] for cell in cells],
+                            dtype=bool if name == COL_OOD else np.int64)
         except KeyError as exc:
             (cell,) = exc.args
-            raise ValidationError(f"{path}: row {column.index(cell) + 2}{fault(cell)}") from None
+        fault = (f": {COL_OOD} must be 0 or 1, got {cell!r}" if name == COL_OOD
+                 else f", column {name!r}: value {cell!r} not in domain")
+        raise ValidationError(f"{path}: row {row + cells.index(cell)}{fault}")
+
+    # The checked columns in fault order, with their block arrays from an
+    # empty one of each dtype, and the first fault of each.
+    parts = {name: [convert(name, (), 2)] for name in (*schema.names, COL_DETECTOR, COL_OOD) if name in at}
+    faults, ids, n = {}, [], 0
+    for row, cells in blocks:
+        n += len(cells[0]) if cells else 0
+        ids.extend(cells[at[COL_ID]] if COL_ID in at else ())
+        for rank, name in enumerate(parts):
+            try:
+                parts[name].append(convert(name, cells[at[name]], row))
+            except ValidationError as exc:
+                faults.setdefault(rank, str(exc))
+    if faults:
+        raise ValidationError(faults[min(faults)])
 
     vectors = np.empty((n, len(schema)), dtype=np.int64)
-    for c, (name, domain) in enumerate(schema.concepts):
-        vectors[:, c] = decode(columns[name], {value: i for i, value in enumerate(domain)},
-                               lambda cell: f", column {name!r}: value {cell!r} not in domain")
-    det = ood = None
-    if COL_DETECTOR in columns:
-        det = np.array(float_column(path, columns[COL_DETECTOR], "detector score"))
-    if COL_OOD in columns:
-        ood = np.array(decode(columns[COL_OOD], {"0": False, "1": True},
-                              lambda cell: f": {COL_OOD} must be 0 or 1, got {cell!r}"), dtype=bool)
-    ids = columns[COL_ID] if COL_ID in columns else tuple(map(str, range(n)))
-
+    for c, name in enumerate(schema.names):
+        vectors[:, c] = np.concatenate(parts.pop(name))
+    det, ood = (np.concatenate(parts[col]) if col in parts else None for col in (COL_DETECTOR, COL_OOD))
+    ids = tuple(ids) if COL_ID in at else tuple(map(str, range(n)))
     if len(set(ids)) != n:  # name the first row whose id repeats
         first = {}
         r = next(r for r, sid in enumerate(ids) if first.setdefault(sid, r) != r)
@@ -230,17 +248,18 @@ def load_dataset(path, schema: Schema) -> Dataset:
 
 
 def save_dataset(data: Dataset, path) -> None:
-    """Write a dataset back to the CSV format accepted by load_dataset."""
+    """Write a dataset back to the CSV format accepted by load_dataset; the
+    cells are made one block of rows at a time."""
+    width = len(data.schema) + 1 + (data.detector_scores is not None) + (data.is_ood is not None)
     header, columns = [COL_ID, *data.schema.names], [data.sample_ids]
     for c, (_, domain) in enumerate(data.schema.concepts):
-        # An object array keeps each value as is; a str array drops trailing NULs.
-        columns.append(np.array(domain, dtype=object)[data.vectors[:, c]].tolist())
+        columns.append(map(domain.__getitem__, blockwise(data.vectors[:, c], width)))
     if data.detector_scores is not None:
         header.append(COL_DETECTOR)
-        columns.append([repr(float(s)) for s in data.detector_scores.tolist()])
+        columns.append(map(repr, map(float, blockwise(data.detector_scores, width))))
     if data.is_ood is not None:
         header.append(COL_OOD)
-        columns.append(["1" if flag else "0" for flag in data.is_ood.tolist()])
+        columns.append(map("01".__getitem__, blockwise(data.is_ood, width)))
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

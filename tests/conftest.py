@@ -7,11 +7,26 @@ oracles are O(n^2) pairwise/sweep implementations.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from logicood import artifacts
 from logicood.constraints import And, Atom, Implies, Node, Not, Or, Xor
 from logicood.schema import Schema
+
+# Rows per CSV block at which readers are tested beside the default block size.
+SMALL_BLOCKS = pytest.mark.parametrize("block", [1, 2, 3], ids=["1-row", "2-row", "3-row"])
+
+
+def block_rows(rows, width):
+    """artifacts.BLOCK_CELLS patched so that a block holds the given rows of
+    a file `width` cells wide; None keeps the default."""
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(artifacts, "BLOCK_CELLS", rows * width)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import ast
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import logicood
-from logicood.artifacts import atomic_open, read_json, write_json
+import utf8_reference
+from logicood.artifacts import atomic_open, first_bad_line, read_json, write_json
 from logicood.schema import Dataset, load_dataset, save_dataset, schema_from_dict
 
 PACKAGE = Path(logicood.__file__).parent
@@ -115,3 +119,26 @@ def test_write_path_scan_flags_each_form():
         "open('a', 'rb')\n"
     )
     assert [line for line, _ in _write_paths(ast.parse(source))] == [1, 2, 4, 5, 6, 7]
+
+
+# Line ends, bytes that only look like them, valid and invalid UTF-8.
+BYTES = [b"\n", b"\r", b"\r\n", b"\x0c", "\x85".encode(), "\ufffd".encode(),
+         b"\xff", b"\x80", b"\xe2\x82", b"\xac", b"a"]
+
+
+@pytest.fixture(scope="module")
+def bytes_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("utf8") / "f.txt"
+
+
+@given(st.lists(st.sampled_from(BYTES), max_size=30).map(b"".join), st.integers(1, 5))
+@example(b"a\r\n\xff", 1)  # a CRLF split across two reads
+@example(b"a" * 8191 + b"\r\n\xff", 5)  # and across two reads of the file
+@example(b"a\r\r\n\xff", 2)
+def test_first_bad_line_reads_in_chunks_as_the_whole_file_reference(bytes_path, text, size):
+    bytes_path.write_bytes(text)
+    try:
+        expected = utf8_reference.first_bad_line(io.BytesIO(text))
+    except StopIteration:  # every line is UTF-8
+        expected = None
+    assert first_bad_line(bytes_path, size) == expected

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import SMALL_BLOCKS, block_rows
 from explain_reference import explain_json
 from logicood import schema as schema_mod
 from logicood.cli import _attach_values, _fit_config, build_parser, main
@@ -444,6 +445,32 @@ def test_eval_bad_score_row(workdir, capsys, rows, message):
     )
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["1_5", " 1.5 "], ids=["underscore", "spaces"])
+@pytest.mark.parametrize("command", ["fit", "fuse", "eval"])
+def test_number_cells_that_float_would_bend_exit_code(workdir, capsys, command, cell):
+    """float() reads '1_5' as 15.0 and ' 1.5 ' as 1.5; no data or scores file takes either."""
+    header = "__id,color,is_octagon,__detector_score,__is_ood\n"
+    bent = "bent" if command != "eval" else "labeled"
+    data = _csv(workdir, f"{bent}.csv", header + f"a,red,true,1.0,0\nb,blue,false,{cell},1\n")
+    labeled = _csv(workdir, "labeled.csv", header + "a,red,true,1.0,0\nb,blue,false,2.0,1\n")
+    scores = _csv(workdir, "scores.csv", f"__id,score\na,1.0\nb,{cell}\n")
+    schema, kb = workdir / "schema.json", workdir / "kb.txt"
+    if command == "fit":
+        code = run("fit", "--schema", schema, "--constraints", kb, "--train", data,
+                   "--out", workdir / "out")
+    elif command == "fuse":
+        code = run("fuse", "--schema", schema, "--constraints", kb,
+                   "--weights", _unit_weights(workdir), "--train", labeled, "--data", data,
+                   "--out", workdir / "out")
+    else:
+        code = run("eval", "--schema", schema, "--data", labeled, "--scores", scores,
+                   "--out", workdir / "out")
+    blamed, what = (scores, "score") if command == "eval" else (data, "detector score")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {blamed}: row 3: non-numeric {what} {cell!r}\n"
+    assert not (workdir / "out").exists()
 
 
 def _labeled_with_ids(workdir, ids):
@@ -1032,8 +1059,13 @@ def test_eval_task_level_errors_name_the_data_file(workdir, capsys, data, messag
         ("z,1.0\nb,1.0\nc\n", "row 4 has 1 cells, expected 2"),
         ("a,abc\nz,1.0\nc,1.0\n", "row 3 id 'z' does not match dataset id 'b'"),
         ("a,nan\nb,abc\nc,1.0\n", "row 3: non-numeric score 'abc'"),
+        ("z,1.0\nb,1.0\n", "2 scores for 3 data rows"),
+        ("z,1.0\ny,1.0\nc,1.0\n", "row 2 id 'z' does not match dataset id 'a'"),
+        ("a,abc\nb,def\nc,1.0\n", "row 2: non-numeric score 'abc'"),
+        ("a,1.0\nb,nan\nc,nan\n", "row 3: NaN score"),
     ],
-    ids=["width-before-ids", "ids-before-values", "values-before-nan"],
+    ids=["width-before-ids", "ids-before-values", "values-before-nan", "count-before-ids",
+         "earlier-ids-first", "earlier-values-first", "earlier-nan-first"],
 )
 def test_eval_of_two_score_faults_the_first_in_column_order_is_reported(
     workdir, capsys, rows, message
@@ -1044,3 +1076,46 @@ def test_eval_of_two_score_faults_the_first_in_column_order_is_reported(
                "--scores", scores, "--out", workdir / "r.json")
     assert code == 2
     assert capsys.readouterr().err == f"error: {scores}: {message}\n"
+
+
+HEAD = "__id,score\n"
+
+
+@pytest.mark.parametrize(
+    "labeled, text, message",
+    [
+        (BOTH, HEAD + "a,1.0\nb,high\n", ": row 3: non-numeric score 'high'"),
+        (BOTH, HEAD + "a,1.0\nb\n", ": row 3 has 1 cells, expected 2"),
+        (BOTH, HEAD + "a,nan\nb,1.0\n", ": row 2: NaN score"),
+        (BOTH, HEAD + "z,1.0\nb,2.0\n", ": row 2 id 'z' does not match dataset id 'a'"),
+        (BOTH, HEAD + "a,1.0\nb," + "9" * 200_000 + "\n", ":3: field larger than field limit (131072)"),
+        (BOTH + "c,red,true,1\n", HEAD + "z,1.0\nb,1.0\nc\n", ": row 4 has 1 cells, expected 2"),
+        (BOTH + "c,red,true,1\n", HEAD + "a,abc\nz,1.0\nc,1.0\n",
+         ": row 3 id 'z' does not match dataset id 'b'"),
+        (BOTH + "c,red,true,1\n", HEAD + "a,nan\nb,abc\nc,1.0\n", ": row 3: non-numeric score 'abc'"),
+        (BOTH + "c,red,true,1\n", HEAD + "z,1.0\nb,1.0\n", ": 2 scores for 3 data rows"),
+        (BOTH + "c,red,true,1\n", HEAD + "z,1.0\ny,1.0\nc,1.0\n",
+         ": row 2 id 'z' does not match dataset id 'a'"),
+        (BOTH + "c,red,true,1\n", HEAD + "a,abc\nb,def\nc,1.0\n", ": row 2: non-numeric score 'abc'"),
+        (BOTH + "c,red,true,1\n", HEAD + "a,1.0\nb,nan\nc,nan\n", ": row 3: NaN score"),
+        (BOTH + "c,red,true,1\n", HEAD + "a,1_5\nb,abc\nc,1.0\n", ": row 2: non-numeric score '1_5'"),
+        (BOTH, "__id,sc\na,1.0\nb\n", ": row 3 has 1 cells, expected 2"),
+        (BOTH, "__id,sc\na,1.0\nb,2.0\n", ": expected header __id,score"),
+        (BOTH, "", ": expected header __id,score"),
+    ],
+    ids=["non-numeric-score", "short-row", "nan-score", "id-mismatch", "oversized-field",
+         "width-before-ids", "ids-before-values", "values-before-nan", "count-before-ids",
+         "earlier-ids-first", "earlier-values-first", "earlier-nan-first", "bent-score",
+         "width-before-header", "header", "empty"],
+)
+@SMALL_BLOCKS
+def test_eval_score_faults_are_the_same_in_small_blocks(workdir, capsys, block, labeled, text,
+                                                        message):
+    labeled = _csv(workdir, "labeled.csv", labeled)
+    scores = _csv(workdir, "scores.csv", text)
+    with block_rows(block, 2):
+        code = run("eval", "--schema", workdir / "schema.json", "--data", labeled,
+                   "--scores", scores, "--out", workdir / "r.json")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {scores}{message}\n"
+    assert not (workdir / "r.json").exists()
