@@ -3,6 +3,8 @@
 Subpackage map:
 
 - artifacts: the atomic file writer and the JSON reader every artifact uses
+- csvblocks: the CSV reader and writer, a block of rows at a time;
+  imported by the functions that read or write a CSV file
 - schema: semantic space definition, dataset I/O
 - constraints: constraint DSL parser and batch compiler
 - compiled: scipy's compiled modules, loaded alone; the L-BFGS-B driver

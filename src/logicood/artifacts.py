@@ -1,4 +1,4 @@
-"""Artifact file I/O: the one atomic writer and the one text, CSV and JSON readers.
+"""Artifact file I/O: the one atomic writer and the one text and JSON readers.
 
 Every file the package writes goes through atomic_open: the text goes to a
 temporary file in the target's directory, which replaces the target only
@@ -6,15 +6,12 @@ when the write succeeded, so no reader sees a half-written artifact and a
 failed write leaves an existing target unchanged. Each artifact's format
 stays in its home module (save_schema, save_weights, ...).
 
-Every CSV file the package reads (data and scores files) goes through
-read_blocks, which yields the header and then the records in blocks of at
-most BLOCK_CELLS cells, as columns. A reader and each writer hold one block
-of rows at a time, whatever the size of the file.
+CSV files (data, scores and decisions files) are read and formatted by
+the csvblocks module, BLOCK_CELLS cells at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from contextlib import contextmanager
@@ -75,72 +72,6 @@ def first_bad_line(path, size=1 << 16):
             except UnicodeEncodeError:  # a byte not UTF-8, escaped as a lone surrogate
                 return line
             line += text.endswith("\n")
-
-
-def read_blocks(path):
-    """A CSV file's header (None for an empty file), then its records in
-    blocks of at most BLOCK_CELLS cells, each as its first row's number
-    (from 2) and a list of its columns, emptied when the next block is read.
-    A malformed record or bytes not UTF-8 raise ValidationError where they
-    are met; the first row whose width differs from the header's ends the
-    blocks and raises ValidationError after the last record."""
-    from itertools import islice
-    from operator import itemgetter
-
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            yield (header := next(reader, None))
-            width, row, fault = len(header or ()), 2, None
-            while block := list(islice(reader, max(1, BLOCK_CELLS // max(1, width)))):
-                first, row = row, row + len(block)
-                if fault is None and set(map(len, block)) != {width}:
-                    r = next(r for r, cells in enumerate(block) if len(cells) != width)
-                    fault = f"{path}: row {first + r} has {len(block[r])} cells, expected {width}"
-                if fault is None:  # column by column: zip(*block) makes an iterator per row
-                    columns = [tuple(map(itemgetter(c), block)) for c in range(width)]
-                    del block
-                    yield first, columns
-                    columns.clear()  # so that one block's cells are held at a time
-        except csv.Error as exc:  # e.g. a field over the csv module's limit
-            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-    if fault is not None:
-        raise ValidationError(fault)
-
-
-def raise_after(blocks, message):
-    """Raise ValidationError(message) once blocks is exhausted, so that a
-    fault its reader meets later comes first."""
-    for _ in blocks:
-        pass
-    raise ValidationError(message)
-
-
-def blockwise(array, width):
-    """array's values as Python objects, made a block of rows `width` cells wide at a time."""
-    from itertools import chain
-
-    step = max(1, BLOCK_CELLS // width)
-    return chain.from_iterable(array[s:s + step].tolist() for s in range(0, len(array), step))
-
-
-def float_column(path, cells, what, row) -> list[float]:
-    """float() of each cell of a block column whose first cell is in the
-    given row; the first cell float() rejects, or would bend (a `_` between
-    digits, or whitespace around them), raises ValidationError naming its row."""
-    import re
-
-    bent = re.compile(r"[\s_]").search  # float() accepts no other whitespace
-    suspect, values = bent("".join(cells)), []
-    try:
-        for cell in cells:
-            if suspect and bent(cell):
-                raise ValueError
-            values.append(float(cell))
-    except ValueError:
-        r = len(values)
-        raise ValidationError(f"{path}: row {row + r}: non-numeric {what} {cells[r]!r}") from None
-    return values
 
 
 def blame(path, fn, *args):

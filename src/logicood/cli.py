@@ -31,18 +31,24 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _write_id_csv(path, column, ids, cells) -> None:
-    """`__id,<column>`, then one `id,repr(cell)` row per sample; an id with a
-    comma, quote or newline is CSV-quoted, and a row whose id has a \\r is quoted whole."""
+def _write_id_csv(path, column, ids, values, domain=None) -> None:
+    """`__id,<column>`, then one `id,cell` row per sample, where cell is
+    domain[value], or repr(float(value)) with no domain, made a block of rows
+    at a time; an id with a comma, quote or newline is CSV-quoted, and a row
+    whose id has a \\r is quoted whole."""
+    from .csvblocks import CsvFormat, row_slices
+
+    fmt = CsvFormat(lineterminator="\n")
+    whole = CsvFormat(lineterminator="\n", quoting=csv.QUOTE_ALL)
+    cells = fmt.column(values, domain)
     with artifacts.atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["__id", column])
-        rows = zip(ids, cells)
-        if any("\r" in sid for sid in ids):
-            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-            for row in rows:
-                (quoted if "\r" in row[0] else writer).writerow(row)
-        writer.writerows(rows)
+        fh.write(fmt.lines([("__id", column)]))
+        for part in row_slices(len(ids), 2):
+            rows = zip(fmt.cells(ids[part]), cells(part))
+            if "\r" in "".join(ids[part]):  # the rows of such ids are quoted whole
+                rows = [(whole.line((sid, row[1])),) if "\r" in sid else row
+                        for sid, row in zip(ids[part], rows)]
+            fh.write(fmt.lines(rows))
 
 
 def _load_datasets(first, second, schema):
@@ -114,24 +120,27 @@ def _read_scores(path, data):
     block at a time. Of several faults, the one reported is the first of: a
     row's width, the header, the row count, the ids, non-numeric scores,
     NaN scores, each at its first faulty row."""
-    blocks = artifacts.read_blocks(path)
+    from .csvblocks import float_column, raise_after, read_blocks
+
+    blocks = read_blocks(path)
     if next(blocks) != ["__id", "score"]:
-        artifacts.raise_after(blocks, f"{path}: expected header __id,score")
+        raise_after(blocks, f"{path}: expected header __id,score")
     faults, scores, n = {}, [np.empty(0)], 0  # the first fault of each rank after the count
-    for row, columns in blocks:
-        ids, cells = columns
-        want = data.sample_ids[row - 2:row - 2 + len(ids)]
-        if ids[:len(want)] != want:
-            i = next(i for i, (sid, expected) in enumerate(zip(ids, want)) if sid != expected)
-            faults.setdefault(1, f"{path}: row {row + i} id {ids[i]!r} does not match "
+    for row, (ids, cells) in blocks:
+        got = ids.strs()
+        want = data.sample_ids[row - 2:row - 2 + len(got)]
+        if got[:len(want)] != want:
+            i = next(i for i, (sid, expected) in enumerate(zip(got, want)) if sid != expected)
+            faults.setdefault(1, f"{path}: row {row + i} id {got[i]!r} does not match "
                                  f"dataset id {want[i]!r}")
+        n += len(got)
+        del got  # so that one column of the block is made str at a time
         try:
-            scores.append(np.array(artifacts.float_column(path, cells, "score", row)))
+            scores.append(np.array(float_column(path, cells, "score", row)))
             if np.isnan(scores[-1]).any():
                 faults.setdefault(3, f"{path}: row {row + np.isnan(scores[-1]).argmax()}: NaN score")
         except ValidationError as exc:
             faults.setdefault(2, str(exc))
-        n += len(ids)
         del ids, cells  # the reader frees a block's cells as it reads the next
     if n != len(data):
         raise ValidationError(f"{path}: {n} scores for {len(data)} data rows")
@@ -178,7 +187,7 @@ def cmd_score(args) -> int:
     model = _load_model(args)
     data = schema_mod.load_dataset(args.data, model.schema)
     scores = mln.mln_score_batch(model, data.vectors)
-    _write_id_csv(args.out, "score", data.sample_ids, scores.tolist())
+    _write_id_csv(args.out, "score", data.sample_ids, scores)
     if args.explain:
         _write_explanations(args.explain, model, data)
     _log(f"scored {len(data)} rows")
@@ -205,13 +214,13 @@ def cmd_fuse(args) -> int:
     else:
         fused = artifacts.blame(args.data, fusion.fuse_batch, fusion.FusedScorer(model, dist), data)
     flags = None if args.threshold is None else fusion.threshold(fused, args.threshold)
-    _write_id_csv(args.out, "score", data.sample_ids, fused.tolist())
+    _write_id_csv(args.out, "score", data.sample_ids, fused)
     if args.dist_out:
         distributions.save_distribution(dist, args.dist_out)
     if args.explain:
         _write_explanations(args.explain, model, data)
     if flags is not None:
-        _write_id_csv(args.decisions, "outlier", data.sample_ids, flags.astype(int).tolist())
+        _write_id_csv(args.decisions, "outlier", data.sample_ids, flags, ("0", "1"))
     _log(f"fused {len(data)} rows with family {family}")
     return EXIT_OK
 

@@ -9,15 +9,13 @@ I/O boundary.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .artifacts import (atomic_open, blame, blockwise, float_column, raise_after, read_blocks,
-                        read_json, write_json)
+from .artifacts import atomic_open, blame, read_json, write_json
 from .errors import ValidationError
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -189,6 +187,8 @@ def load_dataset(path, schema: Schema) -> Dataset:
     time; each block's columns become arrays at once, and the faults wait
     until the reader has met every record.
     """
+    from .csvblocks import Cells, float_column, raise_after, read_blocks
+
     blocks = read_blocks(path)
     header = next(blocks)
     if header is None:
@@ -204,29 +204,28 @@ def load_dataset(path, schema: Schema) -> Dataset:
         raise_after(blocks, f"{path}: missing concept columns {missing}")
 
     at = {col: c for c, col in enumerate(header)}
-    lookups = {name: {value: i for i, value in enumerate(domain)} for name, domain in schema.concepts}
-    lookups[COL_OOD] = {"0": False, "1": True}
+    domains = {**dict(schema.concepts), COL_OOD: ("0", "1")}
 
     def convert(name, cells, row):
-        """A block column's cells as an array; the first faulty cell raises at its row."""
+        """A block column's Cells as an array; the first faulty cell raises at its row."""
         if name == COL_DETECTOR:
             return np.array(float_column(path, cells, "detector score", row))
-        try:
-            return np.array([lookups[name][cell] for cell in cells],
-                            dtype=bool if name == COL_OOD else np.int64)
-        except KeyError as exc:
-            (cell,) = exc.args
-        fault = (f": {COL_OOD} must be 0 or 1, got {cell!r}" if name == COL_OOD
-                 else f", column {name!r}: value {cell!r} not in domain")
-        raise ValidationError(f"{path}: row {row + cells.index(cell)}{fault}")
+        codes = cells.index(domains[name])
+        if codes.size and codes.min() < 0:
+            r = int(np.argmax(codes < 0))
+            fault = (f": {COL_OOD} must be 0 or 1, got {cells[r]!r}" if name == COL_OOD
+                     else f", column {name!r}: value {cells[r]!r} not in domain")
+            raise ValidationError(f"{path}: row {row + r}{fault}")
+        return codes == 1 if name == COL_OOD else codes
 
     # The checked columns in fault order, with their block arrays from an
     # empty one of each dtype, and the first fault of each.
-    parts = {name: [convert(name, (), 2)] for name in (*schema.names, COL_DETECTOR, COL_OOD) if name in at}
+    parts = {name: [convert(name, Cells.of(()), 2)]
+             for name in (*schema.names, COL_DETECTOR, COL_OOD) if name in at}
     faults, ids, n = {}, [], 0
     for row, cells in blocks:
         n += len(cells[0]) if cells else 0
-        ids.extend(cells[at[COL_ID]] if COL_ID in at else ())
+        ids.extend(cells[at[COL_ID]].strs() if COL_ID in at else ())
         for rank, name in enumerate(parts):
             try:
                 parts[name].append(convert(name, cells[at[name]], row))
@@ -240,27 +239,31 @@ def load_dataset(path, schema: Schema) -> Dataset:
         vectors[:, c] = np.concatenate(parts.pop(name))
     det, ood = (np.concatenate(parts[col]) if col in parts else None for col in (COL_DETECTOR, COL_OOD))
     ids = tuple(ids) if COL_ID in at else tuple(map(str, range(n)))
-    if len(set(ids)) != n:  # name the first row whose id repeats
+    try:  # the Dataset's check is the one set of the ids made
+        return Dataset(schema, vectors, ids, det, ood)
+    except ValidationError:  # its one check the columns do not pass already: a repeated id
         first = {}
         r = next(r for r, sid in enumerate(ids) if first.setdefault(sid, r) != r)
-        raise ValidationError(f"{path}: row {r + 2}: duplicate {COL_ID} {ids[r]!r}")
-    return Dataset(schema, vectors, ids, det, ood)
+        raise ValidationError(f"{path}: row {r + 2}: duplicate {COL_ID} {ids[r]!r}") from None
 
 
 def save_dataset(data: Dataset, path) -> None:
     """Write a dataset back to the CSV format accepted by load_dataset; the
-    cells are made one block of rows at a time."""
-    width = len(data.schema) + 1 + (data.detector_scores is not None) + (data.is_ood is not None)
-    header, columns = [COL_ID, *data.schema.names], [data.sample_ids]
-    for c, (_, domain) in enumerate(data.schema.concepts):
-        columns.append(map(domain.__getitem__, blockwise(data.vectors[:, c], width)))
+    text is made and written one block of rows at a time."""
+    from .csvblocks import CsvFormat, row_slices
+
+    fmt = CsvFormat()
+    header = [COL_ID, *data.schema.names]
+    columns = [fmt.column(data.vectors[:, c], domain)
+               for c, (_, domain) in enumerate(data.schema.concepts)]
     if data.detector_scores is not None:
         header.append(COL_DETECTOR)
-        columns.append(map(repr, map(float, blockwise(data.detector_scores, width))))
+        columns.append(fmt.column(data.detector_scores))
     if data.is_ood is not None:
         header.append(COL_OOD)
-        columns.append(map("01".__getitem__, blockwise(data.is_ood, width)))
+        columns.append(fmt.column(data.is_ood, ("0", "1")))
     with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write(fmt.lines([fmt.cells(header)]))
+        for part in row_slices(len(data), len(header)):
+            ids = fmt.cells(data.sample_ids[part])
+            fh.write(fmt.lines(zip(ids, *(column(part) for column in columns))))

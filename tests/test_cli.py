@@ -973,6 +973,25 @@ def test_fit_duplicate_id_names_the_file_and_row(workdir, capsys):
     assert capsys.readouterr().err == f"error: {train}: row 4: duplicate __id 'a'\n"
 
 
+@pytest.mark.parametrize(
+    "row3, message",
+    [("c,maybe,red\n", "row 3, column 'is_octagon': value 'maybe' not in domain"),
+     ("c," + "x" * 200_000 + ",red\n", ":4: field larger than field limit (131072)")],
+    ids=["row-counts-records", "line-counts-lines"],
+)
+def test_row_n_counts_records_and_file_line_counts_lines(workdir, capsys, row3, message):
+    # Row 2's quoted id holds a newline, so record 3 starts on line 4.
+    train = workdir / "quoted.csv"
+    train.write_text('__id,is_octagon,color\n"a\nb",true,red\n' + row3, encoding="utf-8")
+    code = run(
+        "fit", "--schema", workdir / "schema.json", "--constraints", workdir / "kb.txt",
+        "--train", train, "--out", workdir / "w.json",
+    )
+    assert code == 2
+    sep = "" if message.startswith(":") else ": "
+    assert capsys.readouterr().err == f"error: {train}{sep}{message}\n"
+
+
 @pytest.mark.parametrize("infinite", ["train", "data"])
 def test_fuse_non_finite_detector_score_names_the_file(workdir, capsys, infinite):
     weights = _unit_weights(workdir)

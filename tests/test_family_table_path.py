@@ -143,6 +143,17 @@ def test_scans_flag_each_form():
     assert _module_level_scipy_imports(tree) == [1, 2, 5, 16]
 
 
+def test_importing_the_cli_loads_no_scipy_module():
+    # Every benchmarked CLI stage pays this import; a scipy package would add to it.
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, logicood.cli; print(sorted(m for m in sys.modules"
+         " if m.partition('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert out.stdout == "[]\n"
+
+
 # Runs in a fresh interpreter: the CLI stages in order, then a GEV survival.
 # synth draws GEV detector scores through the quantile before any stage has
 # fitted; fuse fits and applies a GEV after fit and search.
