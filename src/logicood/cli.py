@@ -282,8 +282,8 @@ def cmd_synth(args) -> int:
         from dataclasses import replace
 
         spec = replace(spec, seed=args.seed)
+    data = artifacts.blame(args.config, synth.make_benchmark, spec)
     os.makedirs(args.out_dir, exist_ok=True)
-    data = synth.make_benchmark(spec)
 
     schema_mod.save_schema(spec.schema, os.path.join(args.out_dir, "schema.json"))
     save_constraints(

@@ -4,9 +4,11 @@ The survival function P(S >= s) of the fitted distribution turns raw
 detector scores into [0, 1] "how extreme is this" values. The default
 family is the generalized extreme value distribution; uniform, normal,
 generalized normal, lognormal, and a pass-through `none` family are
-available for ablations. Each family is one entry of `_FAMILIES`. The
-laws take their functions from compiled.special and the GEV fit runs
-compiled.lbfgsb; only the generalized-normal fit imports scipy.stats.
+available for ablations. Each family is one entry of `_FAMILIES`. Its
+law has an sf, which normalizes scores, and a ppf, which synth draws
+scores with; both take their functions from compiled.special. The GEV
+fit runs compiled.lbfgsb; only the generalized-normal fit imports
+scipy.stats.
 """
 
 from __future__ import annotations
@@ -135,76 +137,58 @@ def _fit_gennorm(x):
 
 class _Law(NamedTuple):
     """A standard law on support (a, b), moved and scaled as scipy.stats's
-    rv_continuous does it, step for step, so that sf, cdf, ppf and logpdf
-    equal scipy.stats's bit for bit with no import of scipy.stats."""
+    rv_continuous does it, step for step, so that sf and ppf equal
+    scipy.stats's bit for bit with no import of scipy.stats."""
 
     loc: float
     scale: float
     support: tuple[float, float]
-    std: tuple  # standard sf and cdf inside (a, b), ppf on (0, 1), logpdf on [a, b]
+    std: tuple  # standard sf inside (a, b), ppf on (0, 1)
     valid: bool = True  # scipy.stats's check of the shape parameters
 
     def _loc(self):  # NaN, which makes every value NaN, for parameters scipy.stats rejects
         return self.loc if self.valid and self.scale > 0 else np.nan
 
-    def _at(self, x, f, closed, below, above):
-        """f at the standardized x inside the support, else `below` or `above` it; NaN at NaN."""
+    def sf(self, x):
+        """sf at the standardized x inside the support, 1 below it, 0 above it; NaN at NaN."""
         a, b = self.support
         with np.errstate(all="ignore"):  # infinities and NaN are values of the law here
             z = (np.asarray(x, dtype=np.float64) - self._loc()) / self.scale
-            inside = (a <= z) & (z <= b) if closed else (a < z) & (z < b)
-            out = np.where(np.isnan(z), np.nan, np.where(z <= a, below, above))
-            out[inside] = f(z[inside])
+            inside = (a < z) & (z < b)
+            out = np.where(np.isnan(z), np.nan, np.where(z <= a, 1.0, 0.0))
+            out[inside] = self.std[0](z[inside])
         return out
-
-    def sf(self, x):
-        return self._at(x, self.std[0], False, 1.0, 0.0)
-
-    def cdf(self, x):
-        return self._at(x, self.std[1], False, 0.0, 1.0)
 
     def ppf(self, q):
         q = np.asarray(q, dtype=np.float64)
         (a, b), scale, loc = self.support, self.scale, self._loc()
-        out = np.where(q == 0, a * scale + loc, np.where(q == 1, b * scale + loc, np.nan))
-        inside = (0 < q) & (q < 1)
-        out[inside] = self.std[2](q[inside]) * scale + loc
+        with np.errstate(all="ignore"):
+            out = np.where(q == 0, a * scale + loc, np.where(q == 1, b * scale + loc, np.nan))
+            inside = (0 < q) & (q < 1)
+            out[inside] = self.std[1](q[inside]) * scale + loc
         return out
-
-    def logpdf(self, x):
-        return self._at(x, lambda z: self.std[3](z) - np.log(self.scale), True, -np.inf, -np.inf)
 
 
 def _gev_law(sc, location, scale, shape):
     c = 0.0 if abs(shape) < _GUMBEL_SHAPE_EPS else -shape  # genextreme's c, or gumbel_r's 0
 
-    def loglogcdf(z):  # log(-log(cdf))
-        return sc.log1p(-c * z) / c if c else -z
+    def sf(z):
+        loglogcdf = sc.log1p(-c * z) / c if c else -z  # log(-log(cdf))
+        return -sc.expm1(-np.exp(loglogcdf))
 
     def ppf(q):
         x = -np.log(-np.log(q))
         return -sc.expm1(-c * x) / c if c else x
 
-    def logpdf(z):
-        cx, lpex2 = c * z if c else 0.0, loglogcdf(z)
-        out = np.where((cx == 1) | (cx == -np.inf), -np.inf, -np.exp(lpex2) + lpex2 - sc.log1p(-cx))
-        out[(c == 1) & (z == 1)] = 0.0
-        return out
-
-    return _Law(location, scale, (1.0 / c if c < 0 else -np.inf, 1.0 / c if c > 0 else np.inf), (
-        lambda z: -sc.expm1(-np.exp(loglogcdf(z))), lambda z: np.exp(-np.exp(loglogcdf(z))),
-        ppf, logpdf,
-    ), np.isfinite(c))
+    return _Law(
+        location, scale, (1.0 / c if c < 0 else -np.inf, 1.0 / c if c > 0 else np.inf),
+        (sf, ppf), np.isfinite(c),
+    )
 
 
 def _lognormal_law(sc, log_mean, s):
-    def logpdf(z):  # s * s: scipy's s**2 is numpy's exact square of an array
-        logpdf = -np.log(z)**2 / (2 * (s * s)) - np.log(s * z * np.sqrt(2 * np.pi))
-        return np.where(z != 0, logpdf, -np.inf)
-
     return _Law(0.0, math.exp(log_mean), (0.0, np.inf), (
-        lambda z: sc.ndtr(-(np.log(z) / s)), lambda z: sc.ndtr(np.log(z) / s),
-        lambda q: np.exp(s * sc.ndtri(q)), logpdf,
+        lambda z: sc.ndtr(-(np.log(z) / s)), lambda q: np.exp(s * sc.ndtri(q)),
     ), s > 0)
 
 
@@ -221,10 +205,7 @@ def _gennorm_law(sc, location, scale, shape):
         c = np.sign(q - 0.5)
         return c * sc.gammainccinv(1.0 / beta, (1.0 + c) - 2.0 * c * q)**(1.0 / beta)
 
-    return _Law(location, scale, (-np.inf, np.inf), (
-        lambda z: cdf(-z), cdf, ppf,
-        lambda z: np.log(0.5 * beta) - sc.gammaln(1.0 / beta) - abs(z)**beta,
-    ), shape > 0)
+    return _Law(location, scale, (-np.inf, np.inf), (lambda z: cdf(-z), ppf), shape > 0)
 
 
 class _Family(NamedTuple):
@@ -240,17 +221,14 @@ _FAMILIES = {
     "gev": _Family(("location", "scale", "shape"), ("scale",), _fit_gev, _gev_law),
     "uniform": _Family(
         ("a", "b"), (), _fit_uniform,
-        lambda sc, a, b: _Law(
-            a, b - a, (0.0, 1.0), (lambda z: 1.0 - z, lambda z: z, lambda q: q, np.zeros_like)
-        ),
+        lambda sc, a, b: _Law(a, b - a, (0.0, 1.0), (lambda z: 1.0 - z, lambda q: q)),
         ordered=("a", "b"),
     ),
     "normal": _Family(
         ("mean", "std"), ("std",), lambda x: (_spread(x).mean(), x.std()),
-        lambda sc, mean, std: _Law(mean, std, (-np.inf, np.inf), (
-            lambda z: sc.ndtr(-z), sc.ndtr, lambda q: sc.ndtri(q),
-            lambda z: -z**2 / 2.0 - np.log(np.sqrt(2 * np.pi)),
-        )),
+        lambda sc, mean, std: _Law(
+            mean, std, (-np.inf, np.inf), (lambda z: sc.ndtr(-z), lambda q: sc.ndtri(q))
+        ),
     ),
     "generalized_normal": _Family(
         ("location", "scale", "shape"), ("scale", "shape"), _fit_gennorm, _gennorm_law,
@@ -312,7 +290,7 @@ def fit_distribution(scores, family: str) -> ScoreDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Survival / CDF
+# Survival and quantiles
 
 
 def _law(d: ScoreDistribution) -> _Law | None:
@@ -338,39 +316,6 @@ def quantile(d: ScoreDistribution, u) -> np.ndarray:
     if law is None:
         raise ValidationError(f"the `{d.family}` family has no quantile function")
     return law.ppf(u)
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-
-
-@dataclass(frozen=True)
-class FitDiagnostics:
-    family: str
-    log_likelihood: float | None
-    ks_statistic: float | None
-    n_samples: int
-    note: str = ""
-
-
-def fit_diagnostics(d: ScoreDistribution, scores) -> FitDiagnostics:
-    """Log-likelihood and KS statistic vs the empirical CDF."""
-    x = np.asarray(scores, dtype=np.float64)
-    if x.size == 0:
-        raise ValidationError("diagnostics need a non-empty score list")
-    law = _law(d)
-    if law is None:
-        return FitDiagnostics(
-            d.family, None, None, x.size, note="normalization disabled; no distribution fitted"
-        )
-    ll = float(np.sum(law.logpdf(x)))
-    xs = np.sort(x)
-    model_cdf = law.cdf(xs)
-    n = xs.size
-    upper = np.arange(1, n + 1) / n - model_cdf
-    lower = model_cdf - np.arange(0, n) / n
-    ks = float(max(upper.max(), lower.max()))
-    return FitDiagnostics(d.family, ll, ks, n)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ class DetectorSpec:
     ood_params: dict
 
     def __post_init__(self):
-        # Bad law parameters fail here rather than while sampling.
+        # Parameters the family refuses fail here; ones that draw a score
+        # that is not finite fail in attach_detector_scores.
         self.id_distribution()
         self.ood_distribution()
 
@@ -115,7 +116,8 @@ def sample_ood(spec: SynthSpec) -> Dataset:
 
 
 def attach_detector_scores(data: Dataset, spec: SynthSpec) -> Dataset:
-    """Draw per-row detector scores from the class-conditional laws."""
+    """Draw per-row detector scores from the class-conditional laws; a law
+    that draws a score that is not finite raises ValidationError."""
     if spec.detector is None:
         raise ValidationError("spec has no detector model")
     if data.is_ood is None:
@@ -125,13 +127,13 @@ def attach_detector_scores(data: Dataset, spec: SynthSpec) -> Dataset:
     # regardless of how ID and OOD rows are interleaved.
     u = rng.random(len(data))
     scores = np.empty(len(data))
-    ood_mask = data.is_ood
-    scores[~ood_mask] = distributions.quantile(
-        spec.detector.id_distribution(), u[~ood_mask]
-    )
-    scores[ood_mask] = distributions.quantile(
-        spec.detector.ood_distribution(), u[ood_mask]
-    )
+    for key, rows, law in (
+        ("id_params", ~data.is_ood, spec.detector.id_distribution()),
+        ("ood_params", data.is_ood, spec.detector.ood_distribution()),
+    ):
+        scores[rows] = distributions.quantile(law, u[rows])
+        if not np.all(np.isfinite(scores[rows])):
+            raise ValidationError(f"detector: {key}: draws scores that are not finite")
     return Dataset(data.schema, data.vectors, data.sample_ids, scores, data.is_ood)
 
 

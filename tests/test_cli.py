@@ -799,6 +799,15 @@ def _spec_without_gev_shape(config):
     del config["detector"]["id_params"]["shape"]
 
 
+def _detector(family, id_params, ood_params):
+    return lambda c: c.update(
+        detector={"family": family, "id_params": id_params, "ood_params": ood_params}
+    )
+
+
+NOT_FINITE = ": draws scores that are not finite"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -816,13 +825,35 @@ def _spec_without_gev_shape(config):
         (lambda c: c.update(n_ood="7"), ": n_ood: expected a whole number, got '7'"),
         (lambda c: c.update(seed=-3), ": seed: must be >= 0"),
         (lambda c: c.update(space_cap=0), ": space_cap: must be >= 1"),
+        # Found while sampling; the first three would write scores every later stage refuses.
+        (
+            _detector("gev", {"location": 0.0, "scale": 1.0, "shape": math.inf},
+                      {"location": 0.0, "scale": 1.0, "shape": 0.0}),
+            ": detector: id_params" + NOT_FINITE,
+        ),
+        (  # the scale exp(-800) underflows to 0
+            _detector("lognormal", {"log_mean": 0.0, "log_std": 1.0},
+                      {"log_mean": -800.0, "log_std": 1.0}),
+            ": detector: ood_params" + NOT_FINITE,
+        ),
+        (
+            _detector("normal", {"mean": 1e308, "std": 1e308}, {"mean": 0.0, "std": 1.0}),
+            ": detector: id_params" + NOT_FINITE,
+        ),
+        (_detector("none", {}, {}), ": the `none` family has no quantile function"),
+        (
+            lambda c: c.update(schema={f"c{i}": "binary" for i in range(21)}),
+            ": semantic space of 21 concepts: 2097152 exceeds cap 1000000",
+        ),
     ],
     ids=[
         "n-id-not-a-number", "weight-not-a-number", "model-not-an-object", "gev-without-shape",
         "n-id-fractional", "n-id-zero", "ood-mode-unknown", "n-id-bool", "n-ood-numeric-string",
-        "seed-negative", "space-cap-zero",
+        "seed-negative", "space-cap-zero", "gev-infinite-shape", "lognormal-zero-scale",
+        "normal-overflowing", "none-detector", "space-over-cap",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is all synth prints
 def test_synth_bad_field_exit_code(tmp_path, capsys, edit, message):
     spec = json.loads(json.dumps(SYNTH_CONFIG))
     edit(spec)
@@ -830,7 +861,7 @@ def test_synth_bad_field_exit_code(tmp_path, capsys, edit, message):
     config.write_text(json.dumps(spec), encoding="utf-8")
     assert run("synth", "--config", config, "--out-dir", tmp_path / "out") == 2
     assert f"{config}{message}" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "data.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_negative_seed_flag_exit_code(tmp_path, capsys):
