@@ -246,11 +246,10 @@ class WorldCounts:
     @classmethod
     def of(cls, concepts, row_sets) -> WorldCounts:
         """Count checked (n, n_concepts) index matrices per world of the
-        concepts."""
+        concepts, reading the rows' values on them in the rows' own dtype
+        (a Dataset's is already the narrowest)."""
         concepts = list(concepts)
-        # The rows' values on the concepts, in the narrowest integer type.
-        dtype = np.min_scalar_type(max(int(rows.max(initial=0)) for rows in row_sets))
-        values = np.concatenate([rows.astype(dtype)[:, concepts] for rows in row_sets])
+        values = np.concatenate([rows[:, concepts] for rows in row_sets])
         n = len(values)
         # Sorted, equal rows are adjacent: each world starts where a row
         # differs from the one before it.

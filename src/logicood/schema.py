@@ -4,7 +4,10 @@ A schema fixes an ordered list of named concepts, each with a finite value
 domain. A semantic vector assigns one domain index per concept; datasets are
 collections of such vectors with optional detector scores and OOD flags.
 Values are stored as domain indices internally; strings exist only at the
-I/O boundary.
+I/O boundary. A dataset holds its rows in one form, which the schema picks:
+a read-only column-major matrix of the narrowest unsigned type that holds
+every domain index (one byte a cell for domains of up to 256 values), so
+that reading one concept reads one contiguous column of small cells.
 """
 
 from __future__ import annotations
@@ -61,6 +64,17 @@ class Schema:
     def domain_sizes(self) -> tuple[int, ...]:
         return tuple(len(domain) for _, domain in self.concepts)
 
+    @cached_property
+    def row_dtype(self) -> np.dtype:
+        """The dtype of a Dataset's rows: the narrowest unsigned type that
+        holds every domain index."""
+        return np.min_scalar_type(max(self.domain_sizes, default=1) - 1)
+
+    def empty_rows(self, n: int) -> np.ndarray:
+        """An uninitialised (n, len(self)) matrix in a Dataset's row form:
+        row_dtype, column-major."""
+        return np.empty((n, len(self)), dtype=self.row_dtype, order="F")
+
     def __len__(self) -> int:
         return len(self.concepts)
 
@@ -89,10 +103,13 @@ class Schema:
         return self.domain(concept) == BINARY_DOMAIN
 
     def validate_rows(self, rows) -> np.ndarray:
-        """rows as an int64 (n, len(self)) matrix of in-domain indices: the
-        one shape and range check behind every dataset, score and
-        evaluation."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """rows as an (n, len(self)) matrix of in-domain indices: the one
+        shape and range check behind every dataset, score and evaluation.
+        An integer array keeps its dtype and layout, so no copy is made of
+        it; any other input (lists, bool or float arrays) becomes int64."""
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu":
+            rows = rows.astype(np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self):
             raise ValidationError(
                 f"rows of shape {rows.shape} do not match schema with {len(self)} concepts"
@@ -107,15 +124,19 @@ class Dataset:
     """Rows of semantic vectors plus optional detector scores and OOD flags."""
 
     schema: Schema
-    vectors: np.ndarray  # (n, n_concepts) int64 domain indices
+    vectors: np.ndarray  # (n, n_concepts) domain indices in schema.row_dtype, column-major
     sample_ids: tuple[str, ...]
     detector_scores: np.ndarray | None = None  # (n,) float64
     is_ood: np.ndarray | None = None  # (n,) bool
 
     def __post_init__(self):
-        # A read-only view: checked once here, the rows are trusted by every
-        # later reader, and the caller's own array stays writable.
-        vectors = self.schema.validate_rows(self.vectors).view()
+        # A read-only view in the row form: checked once here, the rows are
+        # trusted by every later reader, and the caller's own array stays
+        # writable. Rows in any other form are copied into it once.
+        vectors = self.schema.validate_rows(self.vectors)
+        if vectors.dtype != self.schema.row_dtype or not vectors.flags.f_contiguous:
+            vectors = np.asfortranarray(vectors, dtype=self.schema.row_dtype)
+        vectors = vectors.view()
         vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
         n = self.vectors.shape[0]
@@ -139,9 +160,10 @@ def id_subset(data: Dataset) -> Dataset:
     if data.is_ood is None:
         return data
     keep = ~data.is_ood
+    rows = data.schema.empty_rows(int(keep.sum()))
     return Dataset(
         data.schema,
-        data.vectors[keep],
+        np.compress(keep, data.vectors, axis=0, out=rows),
         tuple(np.asarray(data.sample_ids, dtype=object)[keep]),
         None if data.detector_scores is None else data.detector_scores[keep],
         data.is_ood[keep],
@@ -216,7 +238,7 @@ def load_dataset(path, schema: Schema) -> Dataset:
             fault = (f": {COL_OOD} must be 0 or 1, got {cells[r]!r}" if name == COL_OOD
                      else f", column {name!r}: value {cells[r]!r} not in domain")
             raise ValidationError(f"{path}: row {row + r}{fault}")
-        return codes == 1 if name == COL_OOD else codes
+        return codes == 1 if name == COL_OOD else codes.astype(schema.row_dtype)
 
     # The checked columns in fault order, with their block arrays from an
     # empty one of each dtype, and the first fault of each.
@@ -234,9 +256,9 @@ def load_dataset(path, schema: Schema) -> Dataset:
     if faults:
         raise ValidationError(faults[min(faults)])
 
-    vectors = np.empty((n, len(schema)), dtype=np.int64)
+    vectors = schema.empty_rows(n)
     for c, name in enumerate(schema.names):
-        vectors[:, c] = np.concatenate(parts.pop(name))
+        np.concatenate(parts.pop(name), out=vectors[:, c])
     det, ood = (np.concatenate(parts[col]) if col in parts else None for col in (COL_DETECTOR, COL_OOD))
     ids = tuple(ids) if COL_ID in at else tuple(map(str, range(n)))
     try:  # the Dataset's check is the one set of the ids made

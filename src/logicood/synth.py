@@ -95,8 +95,10 @@ def _sample(model: MlnModel, space_cap: int, n, rng, prefix, is_ood) -> Dataset:
     cumulative = np.cumsum(probs / probs.sum())
     cumulative[-1] = 1.0
     picks = np.searchsorted(cumulative, rng.random(n), side="right")
+    rows = schema.empty_rows(n)
     # The one world of no concepts is the empty row, which unravel_index cannot give.
-    rows = np.column_stack(np.unravel_index(picks, table.sizes)) if schema else np.zeros((n, 0))
+    for c, values in enumerate(np.unravel_index(picks, table.sizes) if schema else ()):
+        rows[:, c] = values
     return Dataset(schema, rows, tuple(f"{prefix}{i}" for i in range(n)), is_ood=np.full(n, is_ood))
 
 
@@ -140,7 +142,8 @@ def attach_detector_scores(data: Dataset, spec: SynthSpec) -> Dataset:
 def make_benchmark(spec: SynthSpec) -> Dataset:
     """ID rows then OOD rows, with detector scores when a detector law is given."""
     ids, oods = sample_id(spec), sample_ood(spec)
-    vectors = np.concatenate([ids.vectors, oods.vectors])
+    vectors = spec.schema.empty_rows(len(ids) + len(oods))
+    np.concatenate([ids.vectors, oods.vectors], out=vectors)
     is_ood = np.concatenate([ids.is_ood, oods.is_ood])
     data = Dataset(spec.schema, vectors, ids.sample_ids + oods.sample_ids, is_ood=is_ood)
     if spec.detector is not None:

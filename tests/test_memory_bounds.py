@@ -71,6 +71,8 @@ def test_explain_writer_holds_a_small_share_of_its_file(tmp_path, files):
 
 def test_load_dataset_extra_memory_grows_by_at_most_one_block(files):
     (_, small, _), (_, large, _) = files[SMALL], files[LARGE]
+    # One byte a binary concept value: the reader fills the row form itself.
+    assert load_dataset(large, SCHEMA).vectors.nbytes == LARGE * len(SCHEMA)
     growth = _extra(load_dataset, large, SCHEMA) - _extra(load_dataset, small, SCHEMA)
     assert growth <= _block_bytes(large)
 

@@ -149,6 +149,12 @@ def test_dataset_duplicate_ids(schema):
 def test_validate_rows(schema):
     rows = schema.validate_rows([[2, 1], [0, 0]])
     assert rows.dtype == np.int64 and rows.tolist() == [[2, 1], [0, 0]]
+    for other in (np.array([[True, False]]), np.array([[2.0, 1.0]])):
+        assert schema.validate_rows(other).dtype == np.int64
+    # An integer array is checked in its own dtype and layout, never widened.
+    for same in (rows.astype(np.int32), np.asfortranarray(rows, dtype=np.uint8)):
+        checked = schema.validate_rows(same)
+        assert checked.dtype == same.dtype and np.shares_memory(checked, same)
     assert schema.validate_rows(np.zeros((0, 2), dtype=np.int32)).shape == (0, 2)
     for bad in ([0, 1], [[0, 1, 0]], np.zeros((2, 2, 2))):
         with pytest.raises(ValidationError, match="rows of shape"):
@@ -159,9 +165,22 @@ def test_validate_rows(schema):
             schema.validate_rows(bad)
 
 
+def test_row_dtype_is_the_narrowest_unsigned_type(schema):
+    assert schema.row_dtype == np.uint8
+    assert schema_from_dict({"p": "binary"}).row_dtype == np.uint8
+    assert Schema((("c", tuple(map(str, range(256)))),)).row_dtype == np.uint8
+    wide = Schema((("p", BINARY_DOMAIN), ("c", tuple(map(str, range(300))))))
+    assert wide.row_dtype == np.uint16
+    data = Dataset(wide, np.array([[1, 299], [0, 256]]), ("a", "b"))
+    assert data.vectors.dtype == np.uint16 and data.vectors.tolist() == [[1, 299], [0, 256]]
+    assert data.vectors.flags.f_contiguous
+    with pytest.raises(ValidationError, match="out-of-domain"):
+        Dataset(wide, np.array([[0, 300]]), ("a",))
+
+
 def test_dataset_checks_rows(schema):
     data = Dataset(schema, np.array([[2, 1]], dtype=np.int32), ("a",))
-    assert data.vectors.dtype == np.int64
+    assert data.vectors.dtype == schema.row_dtype
     with pytest.raises(ValidationError, match="rows of shape"):
         Dataset(schema, np.zeros((1, 3), dtype=np.int64), ("a",))
     with pytest.raises(ValidationError, match="out-of-domain"):
@@ -169,13 +188,27 @@ def test_dataset_checks_rows(schema):
 
 
 def test_dataset_vectors_are_a_read_only_view(schema):
-    vectors = np.array([[2, 1], [0, 0]], dtype=np.int64)
+    # Rows already in the row form are not copied.
+    vectors = np.asfortranarray(np.array([[2, 1], [0, 0]], dtype=schema.row_dtype))
     data = Dataset(schema, vectors, ("a", "b"))
     with pytest.raises(ValueError, match="read-only"):
         data.vectors[0, 0] = 5
-    assert np.shares_memory(data.vectors, vectors)  # no copy of the rows
+    assert np.shares_memory(data.vectors, vectors)
     vectors[0, 0] = 1
     assert vectors.flags.writeable
+
+
+def test_dataset_copies_int64_rows_once_into_the_row_form(schema):
+    vectors = np.array([[2, 1], [0, 0]], dtype=np.int64)
+    data = Dataset(schema, vectors, ("a", "b"))
+    assert data.vectors.dtype == schema.row_dtype and data.vectors.flags.f_contiguous
+    assert data.vectors.base is not None and data.vectors.base.base is None  # one copy, viewed
+    assert not np.shares_memory(data.vectors, vectors)
+    with pytest.raises(ValueError, match="read-only"):
+        data.vectors[0, 0] = 5
+    assert vectors.dtype == np.int64 and vectors.tolist() == [[2, 1], [0, 0]]
+    vectors[0, 0] = 1
+    assert vectors.flags.writeable and data.vectors[0, 0] == 2
 
 
 def test_dataset_rejects_non_boolean_is_ood():

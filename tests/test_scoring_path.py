@@ -1,6 +1,8 @@
 """One scoring path: an AST scan of the package fails if a score is summed
-anywhere but mln.scores_from_columns, or if a module other than schema.py
-raises the out-of-domain error that Schema.validate_rows owns."""
+anywhere but mln.scores_from_columns, if a module other than schema.py
+raises the out-of-domain error that Schema.validate_rows owns, or if a
+module other than schema.py picks a row dtype or layout, which
+Schema.row_dtype and Schema.empty_rows own."""
 
 import ast
 from pathlib import Path
@@ -46,6 +48,20 @@ def _domain_raises(tree):
     ]
 
 
+ROW_FORM_PICKERS = {"min_scalar_type", "asfortranarray"}
+
+
+def _row_form_picks(tree):
+    """Lines of every name, attribute or import of a row-form picker."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in ROW_FORM_PICKERS)
+        or (isinstance(node, ast.Attribute) and node.attr in ROW_FORM_PICKERS)
+        or (isinstance(node, ast.ImportFrom) and ROW_FORM_PICKERS & {a.name for a in node.names})
+    )
+
+
 def _scan(scanner):
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -67,6 +83,11 @@ def test_only_schema_raises_out_of_domain():
     assert len(found["schema.py"]) == 1
 
 
+def test_only_schema_picks_the_row_form():
+    found = _scan(_row_form_picks)
+    assert set(found) == {"schema.py"}
+
+
 def test_scans_flag_each_form():
     source = (
         "def outer():\n"
@@ -81,7 +102,13 @@ def test_scans_flag_each_form():
         "raise CompileError('batch contains out-of-domain index')\n"
         "raise ValidationError('rows of shape')\n"
         "raise\n"
+        "dtype = np.min_scalar_type(k)\n"
+        "rows = numpy.asfortranarray(rows)\n"
+        "from numpy import asfortranarray, zeros\n"
+        "f = min_scalar_type\n"
+        "rows = np.ascontiguousarray(rows, dtype=np.uint8)\n"
     )
     tree = ast.parse(source)
     assert _score_sums(tree) == [("inner", 3), ("outer", 4), (None, 8)]
     assert _domain_raises(tree) == [9, 10]
+    assert _row_form_picks(tree) == [13, 14, 15, 16]
