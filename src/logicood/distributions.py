@@ -14,6 +14,8 @@ scipy.stats.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -96,8 +98,7 @@ def _fit_gev(x):
     params, _ = lbfgsb(lambda p: _gev_nll(p, x), [mu0, math.log(sigma0), xi0], bounds, jac=False)
     if not np.all(np.isfinite(params)):
         raise NumericalError("GEV fit failed: non-finite parameters")
-    mu, log_sigma, xi = params
-    return mu, math.exp(log_sigma), xi
+    return params[0], math.exp(params[1]), params[2]  # location, scale, shape
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +147,11 @@ class _Law(NamedTuple):
     std: tuple  # standard sf inside (a, b), ppf on (0, 1)
     valid: bool = True  # scipy.stats's check of the shape parameters
 
-    def _loc(self):  # NaN, which makes every value NaN, for parameters scipy.stats rejects
-        return self.loc if self.valid and self.scale > 0 else np.nan
-
     def sf(self, x):
         """sf at the standardized x inside the support, 1 below it, 0 above it; NaN at NaN."""
         a, b = self.support
         with np.errstate(all="ignore"):  # infinities and NaN are values of the law here
-            z = (np.asarray(x, dtype=np.float64) - self._loc()) / self.scale
+            z = (np.asarray(x, dtype=np.float64) - self.loc) / self.scale
             inside = (a < z) & (z < b)
             out = np.where(np.isnan(z), np.nan, np.where(z <= a, 1.0, 0.0))
             out[inside] = self.std[0](z[inside])
@@ -161,7 +159,7 @@ class _Law(NamedTuple):
 
     def ppf(self, q):
         q = np.asarray(q, dtype=np.float64)
-        (a, b), scale, loc = self.support, self.scale, self._loc()
+        (a, b), scale, loc = self.support, self.scale, self.loc
         with np.errstate(all="ignore"):
             out = np.where(q == 0, a * scale + loc, np.where(q == 1, b * scale + loc, np.nan))
             inside = (0 < q) & (q < 1)
@@ -180,16 +178,15 @@ def _gev_law(sc, location, scale, shape):
         x = -np.log(-np.log(q))
         return -sc.expm1(-c * x) / c if c else x
 
-    return _Law(
-        location, scale, (1.0 / c if c < 0 else -np.inf, 1.0 / c if c > 0 else np.inf),
-        (sf, ppf), np.isfinite(c),
-    )
+    support = (1.0 / c if c < 0 else -np.inf, 1.0 / c if c > 0 else np.inf)
+    return _Law(location, scale, support, (sf, ppf))
 
 
 def _lognormal_law(sc, log_mean, s):
-    return _Law(0.0, math.exp(log_mean), (0.0, np.inf), (
-        lambda z: sc.ndtr(-(np.log(z) / s)), lambda q: np.exp(s * sc.ndtri(q)),
-    ), s > 0)
+    # math.exp, the scale scipy.stats.lognorm is given (numpy's can differ in the last ulp)
+    scale = math.exp(log_mean) if log_mean <= math.log(sys.float_info.max) else math.inf
+    std = (lambda z: sc.ndtr(-(np.log(z) / s)), lambda q: np.exp(s * sc.ndtri(q)))
+    return _Law(0.0, scale, (0.0, np.inf), std, s > 0)
 
 
 def _gennorm_law(sc, location, scale, shape):
@@ -210,31 +207,27 @@ def _gennorm_law(sc, location, scale, shape):
 
 class _Family(NamedTuple):
     params: tuple[str, ...]  # in the order dist.json writes them
-    positive: tuple[str, ...] = ()  # params that must be > 0
     fit: Callable | None = None  # finite sample -> param values; None passes scores through
     law: Callable | None = None  # (compiled.special, *param values) -> _Law
-    ordered: tuple[str, ...] = ()  # params that must strictly increase
     flag: str | None = None  # the CLI's --family spelling, when not the name
 
 
 _FAMILIES = {
-    "gev": _Family(("location", "scale", "shape"), ("scale",), _fit_gev, _gev_law),
+    "gev": _Family(("location", "scale", "shape"), _fit_gev, _gev_law),
     "uniform": _Family(
-        ("a", "b"), (), _fit_uniform,
+        ("a", "b"), _fit_uniform,
         lambda sc, a, b: _Law(a, b - a, (0.0, 1.0), (lambda z: 1.0 - z, lambda q: q)),
-        ordered=("a", "b"),
     ),
     "normal": _Family(
-        ("mean", "std"), ("std",), lambda x: (_spread(x).mean(), x.std()),
+        ("mean", "std"), lambda x: (_spread(x).mean(), x.std()),
         lambda sc, mean, std: _Law(
             mean, std, (-np.inf, np.inf), (lambda z: sc.ndtr(-z), lambda q: sc.ndtri(q))
         ),
     ),
     "generalized_normal": _Family(
-        ("location", "scale", "shape"), ("scale", "shape"), _fit_gennorm, _gennorm_law,
-        flag="gennorm",
+        ("location", "scale", "shape"), _fit_gennorm, _gennorm_law, flag="gennorm"
     ),
-    "lognormal": _Family(("log_mean", "log_std"), ("log_std",), _fit_lognormal, _lognormal_law),
+    "lognormal": _Family(("log_mean", "log_std"), _fit_lognormal, _lognormal_law),
     "none": _Family(()),
 }
 FAMILIES = tuple(_FAMILIES)
@@ -247,9 +240,17 @@ def _family(name: str) -> _Family:
     return _FAMILIES[name]
 
 
+def _finite(x) -> bool:
+    """Whether x is a real number, not a bool, that is a finite float."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 @dataclass(frozen=True)
 class ScoreDistribution:
-    """A fitted family exposing survival(s) = P(S >= s)."""
+    """A family's finite params, whose law has a scale in (0, inf) and a valid shape."""
 
     family: str
     params: dict
@@ -257,14 +258,14 @@ class ScoreDistribution:
     def __post_init__(self):
         fam, p = _family(self.family), self.params
         if set(p) != set(fam.params):
-            raise ValidationError(
-                f"{self.family}: params must be {list(fam.params)}, got {list(p)}"
-            )
-        for key in fam.positive:
-            if p[key] <= 0:
-                raise ValidationError(f"{self.family}: {key} must be positive")
-        if not all(p[a] < p[b] for a, b in zip(fam.ordered, fam.ordered[1:])):
-            raise ValidationError(f"{self.family}: requires {' < '.join(fam.ordered)}")
+            raise ValidationError(f"{self.family}: params must be {list(fam.params)}, got {list(p)}")
+        for key, value in p.items():
+            if not _finite(value):
+                raise ValidationError(f"{self.family}: {key} is not a finite number: {value!r}")
+        law = _law(self)
+        if law is not None and not (law.valid and law.scale > 0 and _finite(law.scale)):
+            given = ", ".join(f"{key} {p[key]!r}" for key in fam.params)
+            raise ValidationError(f"{self.family}: {given} make no law")
 
 
 def fit_distribution(scores, family: str) -> ScoreDistribution:
@@ -296,9 +297,7 @@ def fit_distribution(scores, family: str) -> ScoreDistribution:
 def _law(d: ScoreDistribution) -> _Law | None:
     """The law of d, or None for the pass-through family."""
     fam = _FAMILIES[d.family]
-    if fam.law is None:
-        return None
-    return fam.law(special, *(d.params[k] for k in fam.params))
+    return None if fam.law is None else fam.law(special, *(d.params[k] for k in fam.params))
 
 
 def survival(d: ScoreDistribution, s) -> np.ndarray | float:
@@ -330,5 +329,5 @@ def load_distribution(path) -> ScoreDistribution:
     raw = read_json(path)
     try:
         return ScoreDistribution(raw["family"], dict(raw["params"]))
-    except (KeyError, TypeError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed distribution file: {exc}") from exc

@@ -38,16 +38,17 @@ class DetectorSpec:
     ood_params: dict
 
     def __post_init__(self):
-        # Parameters the family refuses fail here; ones that draw a score
-        # that is not finite fail in attach_detector_scores.
-        self.id_distribution()
-        self.ood_distribution()
+        # Parameters that make no law fail here; ones that draw a score that
+        # is not finite fail in attach_detector_scores.
+        self.distribution("id_params")
+        self.distribution("ood_params")
 
-    def id_distribution(self):
-        return distributions.ScoreDistribution(self.family, dict(self.id_params))
-
-    def ood_distribution(self):
-        return distributions.ScoreDistribution(self.family, dict(self.ood_params))
+    def distribution(self, key):
+        """The law of id_params or ood_params; a ValidationError names the set."""
+        try:
+            return distributions.ScoreDistribution(self.family, dict(getattr(self, key)))
+        except ValidationError as exc:
+            raise ValidationError(f"{exc} (in {key})") from None
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,17 @@ def _streams(spec: SynthSpec):
     )
 
 
-def _sample(model: MlnModel, space_cap: int, n, rng, prefix, is_ood) -> Dataset:
+def _sample(model: MlnModel, space_cap: int, n, rng, prefix, is_ood, key) -> Dataset:
     """n worlds of every concept drawn i.i.d. from the model, by inverse CDF
-    over the cumulative sums of its world probabilities in enumeration order."""
+    over the cumulative sums of its world probabilities in enumeration order;
+    a world energy that is not finite raises ValidationError naming key."""
     schema = model.schema
     columns = ((c.concepts, c.table) for c in model.constraints)
     table = joined_table(schema, range(len(schema)), columns, space_cap)
-    energies = table.phi @ model.weights
+    with np.errstate(over="ignore"):
+        energies = table.phi @ model.weights
+    if not np.all(np.isfinite(energies)):
+        raise ValidationError(f"{key}: weights give world energies that are not finite")
     probs = np.exp(energies - energies.max())
     cumulative = np.cumsum(probs / probs.sum())
     cumulative[-1] = 1.0
@@ -105,7 +110,7 @@ def _sample(model: MlnModel, space_cap: int, n, rng, prefix, is_ood) -> Dataset:
 def sample_id(spec: SynthSpec) -> Dataset:
     """n_id vectors drawn i.i.d. from the ground-truth model."""
     rng, _, _ = _streams(spec)
-    return _sample(spec.model, spec.space_cap, spec.n_id, rng, "id_", False)
+    return _sample(spec.model, spec.space_cap, spec.n_id, rng, "id_", False, "model")
 
 
 def sample_ood(spec: SynthSpec) -> Dataset:
@@ -114,7 +119,7 @@ def sample_ood(spec: SynthSpec) -> Dataset:
     _, rng, _ = _streams(spec)
     uniform = MlnModel(spec.schema, (), np.zeros(0))
     model = uniform if spec.ood_mode == "uniform_over_Z" else spec.alternate_model
-    return _sample(model, spec.space_cap, spec.n_ood, rng, "ood_", True)
+    return _sample(model, spec.space_cap, spec.n_ood, rng, "ood_", True, "alternate_model")
 
 
 def attach_detector_scores(data: Dataset, spec: SynthSpec) -> Dataset:
@@ -129,11 +134,8 @@ def attach_detector_scores(data: Dataset, spec: SynthSpec) -> Dataset:
     # regardless of how ID and OOD rows are interleaved.
     u = rng.random(len(data))
     scores = np.empty(len(data))
-    for key, rows, law in (
-        ("id_params", ~data.is_ood, spec.detector.id_distribution()),
-        ("ood_params", data.is_ood, spec.detector.ood_distribution()),
-    ):
-        scores[rows] = distributions.quantile(law, u[rows])
+    for key, rows in (("id_params", ~data.is_ood), ("ood_params", data.is_ood)):
+        scores[rows] = distributions.quantile(spec.detector.distribution(key), u[rows])
         if not np.all(np.isfinite(scores[rows])):
             raise ValidationError(f"detector: {key}: draws scores that are not finite")
     return Dataset(data.schema, data.vectors, data.sample_ids, scores, data.is_ood)

@@ -825,20 +825,53 @@ NOT_FINITE = ": draws scores that are not finite"
         (lambda c: c.update(n_ood="7"), ": n_ood: expected a whole number, got '7'"),
         (lambda c: c.update(seed=-3), ": seed: must be >= 0"),
         (lambda c: c.update(space_cap=0), ": space_cap: must be >= 1"),
-        # Found while sampling; the first three would write scores every later stage refuses.
+        # Parameters that make no law, refused before any sampling.
         (
             _detector("gev", {"location": 0.0, "scale": 1.0, "shape": math.inf},
                       {"location": 0.0, "scale": 1.0, "shape": 0.0}),
-            ": detector: id_params" + NOT_FINITE,
+            ": detector: gev: shape is not a finite number: inf (in id_params)",
         ),
         (  # the scale exp(-800) underflows to 0
             _detector("lognormal", {"log_mean": 0.0, "log_std": 1.0},
                       {"log_mean": -800.0, "log_std": 1.0}),
-            ": detector: ood_params" + NOT_FINITE,
+            ": detector: lognormal: log_mean -800.0, log_std 1.0 make no law (in ood_params)",
         ),
+        (  # the scale exp(800) is past the float range
+            _detector("lognormal", {"log_mean": 800, "log_std": 1}, {"log_mean": 0, "log_std": 1}),
+            ": detector: lognormal: log_mean 800, log_std 1 make no law (in id_params)",
+        ),
+        (
+            _detector("uniform", {"a": "x", "b": "y"}, {"a": 0.0, "b": 1.0}),
+            ": detector: uniform: a is not a finite number: 'x' (in id_params)",
+        ),
+        (  # b - a is past the float range
+            _detector("uniform", {"a": 0.0, "b": 1.0}, {"a": -1e308, "b": 1e308}),
+            ": detector: uniform: a -1e+308, b 1e+308 make no law (in ood_params)",
+        ),
+        (
+            _detector("gev", {"location": "abc", "scale": 1, "shape": 0},
+                      {"location": 0.0, "scale": 1.0, "shape": 0.0}),
+            ": detector: gev: location is not a finite number: 'abc' (in id_params)",
+        ),
+        (
+            _detector("gev", {"location": 0.0, "scale": 1.0, "shape": 0.0},
+                      {"location": 0.0, "scale": True, "shape": 0.0}),
+            ": detector: gev: scale is not a finite number: True (in ood_params)",
+        ),
+        # Found while sampling: it would write scores every later stage refuses.
         (
             _detector("normal", {"mean": 1e308, "std": 1e308}, {"mean": 0.0, "std": 1.0}),
             ": detector: id_params" + NOT_FINITE,
+        ),
+        # World energies past the float range make exp(inf - inf) NaN, and the draws wrong.
+        (
+            lambda c: c["model"].update(weights=[1e308, 1e308]),
+            ": model: weights give world energies that are not finite",
+        ),
+        (
+            lambda c: c.update(ood_mode="alternate_mln", alternate_model={
+                "constraints": ["c0", "c1"], "weights": [1e308, 1e308]}),
+            ": alternate_model: weights give world energies that are not finite",
         ),
         (_detector("none", {}, {}), ": the `none` family has no quantile function"),
         (
@@ -850,7 +883,9 @@ NOT_FINITE = ": draws scores that are not finite"
         "n-id-not-a-number", "weight-not-a-number", "model-not-an-object", "gev-without-shape",
         "n-id-fractional", "n-id-zero", "ood-mode-unknown", "n-id-bool", "n-ood-numeric-string",
         "seed-negative", "space-cap-zero", "gev-infinite-shape", "lognormal-zero-scale",
-        "normal-overflowing", "none-detector", "space-over-cap",
+        "lognormal-scale-past-range", "uniform-strings", "uniform-infinite-width",
+        "gev-string-location", "gev-bool-scale", "normal-overflowing", "model-energies-overflow",
+        "alternate-energies-overflow", "none-detector", "space-over-cap",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is all synth prints

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import logicood
-from distributions_reference import frozen_law
+from distributions_reference import LAWS, frozen_law
 from fit_reference import reference_gev_fit
 from logicood.distributions import (
+    FAMILIES,
     ScoreDistribution,
     _law,
     fit_distribution,
@@ -327,6 +329,7 @@ def test_quantiles_through_the_package_fallback_equal_scipy_stats(family, params
         _same(mine, frozen_law(ScoreDistribution(family, params)).ppf(q))
 
 
+# Each gave NaN at every point, as scipy.stats's law does; the package now refuses them.
 @pytest.mark.parametrize(
     "family, params",
     [
@@ -337,9 +340,53 @@ def test_quantiles_through_the_package_fallback_equal_scipy_stats(family, params
         ("lognormal", {"log_mean": 0.0, "log_std": np.nan}),
         ("lognormal", {"log_mean": -800.0, "log_std": 1.0}),  # its scale underflows to 0
     ],
+    ids=["gev-shape", "gev-scale", "normal-std", "gennorm-shape", "lognormal-std", "lognormal-mean"],
 )
-def test_parameters_scipy_stats_rejects_give_nan_as_it_does(family, params):
-    _check_against_scipy(ScoreDistribution(family, params), [], np.linspace(0.1, 0.9, 9))
+def test_params_scipy_stats_rejects_are_refused(family, params):
+    with np.errstate(all="ignore"):
+        assert np.isnan(LAWS[family](**params).sf(0.5))
+    with pytest.raises(ValidationError, match=f"^{family}: "):
+        ScoreDistribution(family, params)
+
+
+NO_LAW = {  # id: (family, params, what the message says after "family: ")
+    "lognormal-mean-past-range": ("lognormal", {"log_mean": 800, "log_std": 1}, "log_mean 800, "),
+    "lognormal-mean-underflows": ("lognormal", {"log_mean": -800, "log_std": 1}, "log_mean -800"),
+    "lognormal-zero-std": ("lognormal", {"log_mean": 0.0, "log_std": 0.0}, "log_std 0.0 make"),
+    "lognormal-negative-std": ("lognormal", {"log_mean": 0.0, "log_std": -1.0}, "log_std -1.0"),
+    "uniform-strings": ("uniform", {"a": "x", "b": "y"}, "a is not a finite number: 'x'"),
+    "uniform-infinite-width": ("uniform", {"a": -1e308, "b": 1e308}, "a -1e+308, b 1e+308 make"),
+    "uniform-equal": ("uniform", {"a": 1.0, "b": 1.0}, "a 1.0, b 1.0 make no law"),
+    "uniform-reversed": ("uniform", {"a": 2.0, "b": 1.0}, "a 2.0, b 1.0 make no law"),
+    "uniform-int-width-past-range": ("uniform", {"a": -int(1e308), "b": int(1e308)}, "make no"),
+    "gev-string": ("gev", {"location": "abc", "scale": 1, "shape": 0}, "location is not a"),
+    "gev-infinite-shape": ("gev", {"location": 0, "scale": 1, "shape": math.inf}, "shape is not"),
+    "gev-minus-infinity": ("gev", {"location": -math.inf, "scale": 1, "shape": 0}, "location is"),
+    "gev-bool-scale": ("gev", {"location": 0, "scale": True, "shape": 0}, "scale is not a finite"),
+    "gev-zero-scale": ("gev", {"location": 0, "scale": 0, "shape": 0}, "location 0, scale 0, "),
+    "gev-negative-scale": ("gev", {"location": 0, "scale": -1.0, "shape": 0}, "scale -1.0, "),
+    "gev-list": ("gev", {"location": [0.0], "scale": 1, "shape": 0}, "location is not a finite"),
+    "gev-int-past-range": ("gev", {"location": 10**400, "scale": 1, "shape": 0}, "location is"),
+    "normal-numpy-inf": ("normal", {"mean": 0.0, "std": np.float64(-np.inf)}, "std is not a"),
+    "normal-float32-inf": ("normal", {"mean": np.float32(np.inf), "std": 1.0}, "mean is not a"),
+    "normal-numpy-bool": ("normal", {"mean": np.bool_(True), "std": 1.0}, "mean is not a"),
+    "gennorm-zero-shape": ("generalized_normal", {"location": 0, "scale": 1, "shape": 0}, "shape 0"),
+    "gennorm-negative-shape": ("generalized_normal", {"location": 0, "scale": 1, "shape": -2}, "-2"),
+}
+
+
+@pytest.mark.parametrize("family, params, message", NO_LAW.values(), ids=NO_LAW)
+def test_params_that_make_no_law_are_refused(family, params, message):
+    with pytest.raises(ValidationError, match=f"^{family}: ") as got:
+        ScoreDistribution(family, params)
+    assert message in str(got.value)
+
+
+def test_finite_numpy_and_int_params_make_a_law():
+    d = ScoreDistribution("gev", {"location": np.float32(0.5), "scale": np.int64(2), "shape": 0})
+    assert survival(d, 0.5) == survival(gev(0.5, 2.0, 0.0), 0.5)
+    d = ScoreDistribution("lognormal", {"log_mean": 709.0, "log_std": 1.0})  # scale 8.2e307
+    assert 0.0 < survival(d, 1e308) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +398,52 @@ def test_distribution_roundtrip(tmp_path):
     path = tmp_path / "dist.json"
     save_distribution(d, path)
     assert load_distribution(path) == d
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fitted_family_loads_back_with_equal_survival(tmp_path, family):
+    x = quantile(gev(5.0, 1.0, 0.1), np.random.default_rng(11).random(300))
+    d, path = fit_distribution(x, family), tmp_path / "dist.json"
+    save_distribution(d, path)
+    loaded = load_distribution(path)
+    assert loaded.family == family and loaded.params == d.params
+    grid = np.array([-np.inf, *np.linspace(x.min() - 1, x.max() + 1, 101), np.inf])
+    assert np.asarray(survival(loaded, grid)).tobytes() == np.asarray(survival(d, grid)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        '{"location": NaN, "scale": 1.0, "shape": 0.0}',
+        '{"location": 0.0, "scale": Infinity, "shape": 0.0}',
+        '{"location": 0.0, "scale": 1.0, "shape": -Infinity}',
+        '{"location": "1.0", "scale": 1.0, "shape": 0.0}',
+        '{"location": 0.0, "scale": true, "shape": 0.0}',
+    ],
+    ids=["nan", "infinity", "minus-infinity", "string", "bool"],
+)
+def test_load_refuses_gev_params_that_make_no_law(tmp_path, params):
+    path = tmp_path / "dist.json"
+    path.write_text(f'{{"family": "gev", "params": {params}}}', encoding="utf-8")
+    message = f"^{re.escape(str(path))}: malformed distribution file: gev: "
+    with pytest.raises(ValidationError, match=message):
+        load_distribution(path)
+
+
+def test_load_refuses_a_lognormal_whose_scale_underflows(tmp_path):
+    path = tmp_path / "dist.json"
+    path.write_text('{"family": "lognormal", "params": {"log_mean": -800.0, "log_std": 1.0}}',
+                    encoding="utf-8")
+    with pytest.raises(ValidationError, match="malformed distribution file: lognormal: log_mean"):
+        load_distribution(path)
+
+
+@pytest.mark.parametrize("params", ['"xyz"', "[1, 2]", "null"])
+def test_load_refuses_params_that_are_not_an_object(tmp_path, params):
+    path = tmp_path / "dist.json"
+    path.write_text(f'{{"family": "gev", "params": {params}}}', encoding="utf-8")
+    with pytest.raises(ValidationError, match="malformed distribution file: "):
+        load_distribution(path)
 
 
 def test_invalid_params_rejected():

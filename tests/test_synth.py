@@ -105,8 +105,8 @@ def test_attach_detector_scores_distribution_split():
     oods = data.detector_scores[data.is_ood]
     # Monte Carlo oracle for P(S_ood > S_id) with the same laws.
     rng = np.random.default_rng(99)
-    mc_id = quantile(det.id_distribution(), rng.random(1_000_000))
-    mc_ood = quantile(det.ood_distribution(), rng.random(1_000_000))
+    mc_id = quantile(det.distribution("id_params"), rng.random(1_000_000))
+    mc_ood = quantile(det.distribution("ood_params"), rng.random(1_000_000))
     expected = np.mean(mc_ood > mc_id)
     assert auroc(ids, oods) == pytest.approx(expected, abs=0.01)
 
